@@ -8,7 +8,8 @@ import (
 )
 
 // MemPort is the core's view of the memory hierarchy: each call returns
-// the access's round-trip latency in cycles. The hetsim package binds a
+// the access's round-trip latency in cycles (at least 1; the scheduler
+// never forwards a result within its issue cycle). The hetsim package binds a
 // core ID to a shared cache.Hierarchy; tests can supply fakes.
 type MemPort interface {
 	InstFetch(pc uint64) int
@@ -209,13 +210,26 @@ func (s Stats) TimeNS(freqGHz float64) float64 {
 type robEntry struct {
 	op        trace.Op
 	seq       uint64
-	dep1      uint64 // absolute seq of producers; 0 = none
-	dep2      uint64
 	addr      uint64
 	doneCycle int64
+	// wake is the cycle the operands of issued producers arrive; pending
+	// counts producers that have not issued yet (see sched.go).
+	wake    int64
+	pending int8
+	// waiters heads the list of consumers waiting on this entry to
+	// issue; waitNext[k] links this entry's operand k into its
+	// producer's list.
+	waiters   int32
+	waitNext  [2]int32
 	issued    bool
 	steerFast bool // dual-speed: wants the CMOS ALU
 	mispred   bool
+}
+
+// laSlot is one decoded lookahead instruction with its prediction.
+type laSlot struct {
+	in   trace.Inst
+	pred Prediction
 }
 
 // Core is one simulated out-of-order core.
@@ -231,17 +245,22 @@ type Core struct {
 	rob                        []robEntry // ring buffer
 	robHead, robTail, robCount int
 
-	iq  []int // ROB indexes in program order
-	lsq int   // occupied LSQ slots
+	// Issue queue (sched.go): iqCount counts the unissued entries, ready
+	// holds the ROB indexes of those whose operands are available, in
+	// program order, and wakeQ the ones whose operands arrive later.
+	// doneQ holds the completion cycles of issued entries.
+	iqCount int
+	ready   []int
+	soon    []int // woken during the issue walk, ready next cycle
+	wakeQ   cycleHeap
+	doneQ   cycleHeap
+	lsq     int // occupied LSQ slots
 
-	// readyAt maps seq -> completion cycle, in a ring sized to cover
-	// every in-flight producer. Entries for retired producers are stale
-	// but always <= cycle, which reads as "ready" — exactly right.
-	readyAt []int64
-
-	// Lookahead decode buffer for steering and fetch modelling.
-	la     []trace.Inst
-	laPred []Prediction
+	// Lookahead decode buffer for steering and fetch modelling: a
+	// power-of-two ring holding laLen slots from laHead, oldest first,
+	// refilled to laNeed.
+	la                    []laSlot
+	laHead, laLen, laNeed int
 
 	// Frontend state.
 	fetchResume     int64
@@ -302,7 +321,10 @@ func NewCore(cfg Config, mem MemPort, src InstSource) (*Core, error) {
 		mem:          mem,
 		src:          src,
 		rob:          make([]robEntry, cfg.ROBSize),
-		readyAt:      make([]int64, nextPow2(cfg.ROBSize*2+64)),
+		ready:        make([]int, 0, cfg.IQSize),
+		soon:         make([]int, 0, cfg.IQSize),
+		wakeQ:        make(cycleHeap, 0, cfg.ROBSize),
+		doneQ:        make(cycleHeap, 0, cfg.ROBSize),
 		intDivFree:   make([]int64, cfg.NumMul),
 		fpDivFree:    make([]int64, cfg.NumFPU),
 		intRegBudget: max(8, cfg.IntRegs-archRegs),
@@ -311,12 +333,10 @@ func NewCore(cfg Config, mem MemPort, src InstSource) (*Core, error) {
 		nextSample:   ^uint64(0),
 		profNext:     ^uint64(0),
 	}
-	c.iq = make([]int, 0, cfg.IQSize)
-	laSize := cfg.SteerWindow
-	if laSize < cfg.FetchWidth {
-		laSize = cfg.FetchWidth
-	}
-	c.la = make([]trace.Inst, 0, laSize+cfg.FetchWidth)
+	// la[0] must exist, and steering looks SteerWindow instructions
+	// past it.
+	c.laNeed = max(1, cfg.SteerWindow+1)
+	c.la = make([]laSlot, nextPow2(c.laNeed))
 	return c, nil
 }
 
@@ -403,7 +423,7 @@ func (c *Core) step() {
 	c.cycle++
 	c.stats.Cycles++
 	c.stats.ROBOccAccum += uint64(c.robCount)
-	c.stats.IQOccAccum += uint64(len(c.iq))
+	c.stats.IQOccAccum += uint64(c.iqCount)
 	c.stats.LSQOccAccum += uint64(c.lsq)
 
 	committed := c.commit()
@@ -463,11 +483,11 @@ func (c *Core) stallBucket() *uint64 {
 // timing while saving simulation work.
 func (c *Core) fastForward() {
 	next := int64(1 << 62)
-	for i, n := c.robHead, 0; n < c.robCount; i, n = (i+1)%len(c.rob), n+1 {
-		e := &c.rob[i]
-		if e.issued && e.doneCycle > c.cycle && e.doneCycle < next {
-			next = e.doneCycle
-		}
+	// Completions at or before this cycle have retired or will retire
+	// without waiting; the earliest later one is doneQ's minimum.
+	c.dropPastDone()
+	if len(c.doneQ) > 0 {
+		next = c.doneQ[0].at
 	}
 	if c.fetchResume > c.cycle && c.fetchResume < next {
 		next = c.fetchResume
@@ -479,7 +499,7 @@ func (c *Core) fastForward() {
 	c.cycle = next - 1
 	c.stats.Cycles += skip
 	c.stats.ROBOccAccum += skip * uint64(c.robCount)
-	c.stats.IQOccAccum += skip * uint64(len(c.iq))
+	c.stats.IQOccAccum += skip * uint64(c.iqCount)
 	c.stats.LSQOccAccum += skip * uint64(c.lsq)
 	if skip > 0 {
 		// The machine state is frozen across the skip, so one
@@ -524,21 +544,12 @@ func (c *Core) retireRegs(op trace.Op) {
 	}
 }
 
-// ready reports whether a ROB entry's operands are available.
-func (c *Core) ready(e *robEntry) bool {
-	m := uint64(len(c.readyAt) - 1)
-	if e.dep1 != 0 && c.readyAt[e.dep1&m] > c.cycle {
-		return false
-	}
-	if e.dep2 != 0 && c.readyAt[e.dep2&m] > c.cycle {
-		return false
-	}
-	return true
-}
-
 // issue schedules ready IQ entries onto functional units, oldest first.
 func (c *Core) issue() int {
-	if len(c.iq) == 0 {
+	for len(c.wakeQ) > 0 && c.wakeQ[0].at <= c.cycle {
+		c.insertReady(int(c.wakeQ.pop().idx))
+	}
+	if len(c.ready) == 0 {
 		return 0
 	}
 	issued := 0
@@ -548,17 +559,13 @@ func (c *Core) issue() int {
 		slowALUSlots = c.cfg.NumALU - 1
 	}
 
-	kept := c.iq[:0]
-	for _, idx := range c.iq {
+	kept := c.ready[:0]
+	for i, idx := range c.ready {
 		if issued >= c.cfg.IssueWidth {
-			kept = append(kept, idx)
-			continue
+			kept = append(kept, c.ready[i:]...)
+			break
 		}
 		e := &c.rob[idx]
-		if !c.ready(e) {
-			kept = append(kept, idx)
-			continue
-		}
 		var lat int
 		ok := false
 		switch e.op {
@@ -631,7 +638,9 @@ func (c *Core) issue() int {
 		}
 		e.issued = true
 		e.doneCycle = c.cycle + int64(lat)
-		c.readyAt[e.seq&uint64(len(c.readyAt)-1)] = e.doneCycle
+		c.iqCount--
+		c.wakeConsumers(e)
+		c.noteDone(e.doneCycle)
 		if e.op == trace.Load {
 			c.lsq--
 		}
@@ -648,7 +657,11 @@ func (c *Core) issue() int {
 		}
 		issued++
 	}
-	c.iq = kept
+	c.ready = kept
+	for _, idx := range c.soon {
+		c.insertReady(idx)
+	}
+	c.soon = c.soon[:0]
 	return issued
 }
 
@@ -682,13 +695,13 @@ func (c *Core) dispatch() int {
 			c.renameBlocked = true
 			break
 		}
-		if len(c.iq) >= c.cfg.IQSize {
+		if c.iqCount >= c.cfg.IQSize {
 			c.stats.StallIQ++
 			c.renameBlocked = true
 			break
 		}
 		c.fillLookahead()
-		in := c.la[0]
+		in := c.la[c.laHead].in
 		if in.Op.IsMem() && c.lsq >= c.cfg.LSQSize {
 			c.stats.StallLSQ++
 			c.renameBlocked = true
@@ -719,25 +732,17 @@ func (c *Core) dispatch() int {
 			}
 		}
 
-		pred := c.laPred[0]
+		pred := c.la[c.laHead].pred
 		c.popLookahead()
 
-		seq := c.seq + 1
-		c.seq = seq
+		c.seq++
 		idx := c.robTail
 		e := &c.rob[idx]
-		*e = robEntry{op: in.Op, seq: seq, addr: in.Addr}
-		// Dependencies farther back than the ROB are architecturally
-		// committed and therefore ready; they also must not alias a
-		// live slot in the readyAt ring.
-		if in.Dep1 > 0 && in.Dep1 < c.cfg.ROBSize && uint64(in.Dep1) < seq {
-			e.dep1 = seq - uint64(in.Dep1)
-		}
-		if in.Dep2 > 0 && in.Dep2 < c.cfg.ROBSize && uint64(in.Dep2) < seq {
-			e.dep2 = seq - uint64(in.Dep2)
-		}
-		// Mark not-ready until issued.
-		c.readyAt[seq&uint64(len(c.readyAt)-1)] = int64(1) << 61
+		*e = robEntry{op: in.Op, seq: c.seq, addr: in.Addr}
+		// Producers farther back than the window have committed and are
+		// therefore ready.
+		c.depend(idx, 0, in.Dep1)
+		c.depend(idx, 1, in.Dep2)
 
 		c.countRegs(in)
 
@@ -766,7 +771,16 @@ func (c *Core) dispatch() int {
 
 		c.robTail = (c.robTail + 1) % len(c.rob)
 		c.robCount++
-		c.iq = append(c.iq, idx)
+		c.iqCount++
+		switch {
+		case e.pending > 0:
+			// Waits for a producer to issue (wakeConsumers).
+		case e.wake <= c.cycle+1:
+			// Ready by the next issue; the youngest entry goes last.
+			c.ready = append(c.ready, idx)
+		default:
+			c.wakeQ.push(e.wake, idx)
+		}
 		n++
 
 		if e.mispred {
@@ -812,12 +826,13 @@ func (c *Core) steer() bool {
 	// the instruction i+1 positions after it in program order.
 	c.fillLookahead()
 	w := c.cfg.SteerWindow
-	if w > len(c.la) {
-		w = len(c.la)
+	if w > c.laLen {
+		w = c.laLen
 	}
+	mask := len(c.la) - 1
 	for i := 0; i < w; i++ {
 		d := i + 1
-		if c.la[i].Dep1 == d || c.la[i].Dep2 == d {
+		if in := &c.la[(c.laHead+i)&mask].in; in.Dep1 == d || in.Dep2 == d {
 			return true
 		}
 	}
@@ -827,11 +842,7 @@ func (c *Core) steer() bool {
 // fillLookahead tops up the decode buffer so la[0] exists and steering can
 // look SteerWindow instructions ahead.
 func (c *Core) fillLookahead() {
-	need := c.cfg.SteerWindow + 1
-	if need < 1 {
-		need = 1
-	}
-	if len(c.la) >= need {
+	if c.laLen >= c.laNeed {
 		return
 	}
 	// On profiled cycles the refill (trace decode + branch prediction)
@@ -841,20 +852,17 @@ func (c *Core) fillLookahead() {
 		l.Lap(prof.CPURename)
 		defer l.Lap(prof.CPUFetch)
 	}
-	for len(c.la) < need {
-		in := c.src.Next()
-		c.la = append(c.la, in)
-		var p Prediction
-		if in.Op == trace.Branch {
-			p = c.bp.Predict(in.PC)
+	for ; c.laLen < c.laNeed; c.laLen++ {
+		s := &c.la[(c.laHead+c.laLen)&(len(c.la)-1)]
+		s.in = c.src.Next()
+		s.pred = Prediction{}
+		if s.in.Op == trace.Branch {
+			s.pred = c.bp.Predict(s.in.PC)
 		}
-		c.laPred = append(c.laPred, p)
 	}
 }
 
 func (c *Core) popLookahead() {
-	copy(c.la, c.la[1:])
-	c.la = c.la[:len(c.la)-1]
-	copy(c.laPred, c.laPred[1:])
-	c.laPred = c.laPred[:len(c.laPred)-1]
+	c.laHead = (c.laHead + 1) & (len(c.la) - 1)
+	c.laLen--
 }

@@ -261,9 +261,14 @@ func (s *ObsSession) Report() obs.Report {
 	runs := s.Obs.Sink().Records()
 	obs.SortRecords(runs)
 	wall := time.Since(s.start).Seconds()
+	// The rate counts simulated instructions only: soc and traffic
+	// records compose measured runs and report modelled work.
 	var insts uint64
 	for _, r := range runs {
-		insts += r.Instructions
+		switch r.Kind {
+		case "cpu", "cmp", "gpu":
+			insts += r.Instructions
+		}
 	}
 	m := obs.Manifest{
 		Schema:      obs.SchemaVersion,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"hetcore/internal/gpu"
 	"hetcore/internal/hetsim"
@@ -19,6 +20,30 @@ func smallOpts(o *obs.Observer) Options {
 		Workloads:    []string{"barnes"},
 		Kernels:      []string{"Reduction"},
 		Obs:          o,
+	}
+}
+
+// TestReportSimRateCountsSimulatedKindsOnly: the manifest sim rate adds up
+// cpu, cmp and gpu instructions; soc and traffic records report modelled
+// work composed from those runs and must not inflate it.
+func TestReportSimRateCountsSimulatedKindsOnly(t *testing.T) {
+	s := &ObsSession{Obs: &obs.Observer{Records: &obs.RecordSink{}}, start: time.Now()}
+	for _, r := range []obs.RunRecord{
+		{Kind: "cpu", Config: "BaseCMOS", Workload: "barnes", Instructions: 400_000},
+		{Kind: "cmp", Config: "HeteroCMP", Workload: "barnes", Instructions: 200_000},
+		{Kind: "gpu", Config: "BaseCMOS", Workload: "Reduction", Instructions: 100_000},
+		{Kind: "soc", Config: "c4t4g0", Workload: "barnes", Instructions: 5_000_000_000},
+		{Kind: "traffic", Config: "c4t4g0+naive", Workload: "diurnal", Instructions: 90_000_000_000},
+	} {
+		s.Obs.AddRecord(r)
+	}
+	m := s.Report().Manifest
+	if m.WallSeconds <= 0 {
+		t.Fatalf("wall seconds %v", m.WallSeconds)
+	}
+	got := m.SimRateKIPS * m.WallSeconds * 1e3
+	if want := 700_000.0; got < want*0.999 || got > want*1.001 {
+		t.Errorf("sim rate covers %.0f instructions, want %.0f (cpu+cmp+gpu)", got, want)
 	}
 }
 

@@ -20,10 +20,11 @@ const (
 )
 
 // branchKind classifies a static branch site.
-type branchKind int
+type branchKind uint8
 
 const (
-	branchBiased branchKind = iota // taken with fixed high probability
+	branchUnseen branchKind = iota // not reached yet
+	branchBiased                   // taken with fixed high probability
 	branchLoop                     // taken (period-1) times, then not taken
 	branchRandom                   // 50/50, unpredictable
 )
@@ -31,22 +32,38 @@ const (
 // branchSite is the persistent state of one static branch.
 type branchSite struct {
 	kind    branchKind
-	period  int // loop sites
-	counter int
-	taken   float64 // biased sites
+	period  int32 // loop sites
+	counter int32
 }
+
+// Thresholds (see threshold) of the generator's fixed probabilities.
+var (
+	fpIndepT = threshold(0.55)
+	coinT    = threshold(0.5)
+)
 
 // Generator produces the deterministic instruction stream of one core
 // executing one workload. It implements an infinite stream; callers decide
 // how many instructions constitute a run.
 type Generator struct {
 	prof   Profile
-	rng    *RNG
-	cum    [numOps]float64 // cumulative normalised mix
+	rng    RNG
 	core   int
 	pc     uint64
 	stream uint64 // streaming-region cursor
-	sites  map[uint64]*branchSite
+	// sites holds the static branch at codeLo+4i in sites[i].
+	sites []branchSite
+
+	// Integer thresholds (see threshold) of every probability Next draws
+	// against, so each draw is one compare: the cumulative op mix, the
+	// dependency and sharing probabilities, the geometric success
+	// probabilities 1/mean of integer and FP producers, and the
+	// cumulative hot/mid/large region fractions.
+	opT                     [numOps]uint64
+	loadDepT, twoT, twoFPT  uint64
+	depT, depFPT            uint64
+	repeatT, sharedT, biasT uint64
+	hotT, midT, largeT      uint64
 
 	codeLo, codeHi uint64
 	hotLo          uint64
@@ -77,9 +94,9 @@ func NewGenerator(prof Profile, seed uint64, core int) (*Generator, error) {
 	off := uint64(core) * coreStride
 	g := &Generator{
 		prof:    prof,
-		rng:     NewRNG(seed ^ hash64(prof.Name) ^ (uint64(core) * 0xabcdef123457)),
+		rng:     *NewRNG(seed ^ hash64(prof.Name) ^ (uint64(core) * 0xabcdef123457)),
 		core:    core,
-		sites:   make(map[uint64]*branchSite),
+		sites:   make([]branchSite, (prof.CodeBytes+3)/4),
 		codeLo:  codeBase + off,
 		hotLo:   hotBase + off,
 		midLo:   midBase + off,
@@ -96,9 +113,21 @@ func NewGenerator(prof Profile, seed uint64, core int) (*Generator, error) {
 	acc := 0.0
 	for i, w := range prof.Mix {
 		acc += w / sum
-		g.cum[i] = acc
+		g.opT[i] = threshold(acc)
 	}
-	g.cum[numOps-1] = 1.0 // absorb rounding
+	g.opT[numOps-1] = threshold(1) // absorb rounding
+
+	g.loadDepT = threshold(prof.LoadDepBias)
+	g.twoT = threshold(prof.TwoSrcProb)
+	g.twoFPT = threshold(prof.TwoSrcProb * 0.45)
+	g.depT = threshold(1 / prof.MeanDep)
+	g.depFPT = threshold(1 / (prof.MeanDep * prof.FPDepScale))
+	g.repeatT = threshold(prof.RepeatFrac)
+	g.sharedT = threshold(prof.SharedFrac)
+	g.biasT = threshold(prof.BiasedTakenProb)
+	g.hotT = threshold(prof.HotFrac)
+	g.midT = threshold(prof.HotFrac + prof.MidFrac)
+	g.largeT = threshold(prof.HotFrac + prof.MidFrac + prof.LargeFrac)
 	return g, nil
 }
 
@@ -137,27 +166,24 @@ func (g *Generator) Next() Inst {
 	// Register dependencies. Non-loads consume the latest load's result
 	// with probability LoadDepBias (load-use chains); otherwise the
 	// producer distance is geometric, with FP instructions drawing
-	// longer distances (high FP ILP).
-	mean := g.prof.MeanDep
+	// longer distances (mean scaled by FPDepScale: high FP ILP) and a
+	// second source less often.
+	depT, twoT := g.depT, g.twoT
 	fp := op.IsFP()
 	if fp {
-		mean *= g.prof.FPDepScale
+		depT, twoT = g.depFPT, g.twoFPT
 	}
 	switch {
-	case op != Load && g.sinceLoad > 0 && g.sinceLoad < 64 && g.rng.Bool(g.prof.LoadDepBias):
+	case op != Load && g.sinceLoad > 0 && g.sinceLoad < 64 && g.rng.below(g.loadDepT):
 		in.Dep1 = g.sinceLoad
-	case fp && g.rng.Bool(0.55):
+	case fp && g.rng.below(fpIndepT):
 		// Independent FP operation (fresh accumulator, immediate
 		// operand): FP kernels expose many parallel chains.
 	default:
-		in.Dep1 = g.dep(op, mean)
+		in.Dep1 = g.dep(op, depT)
 	}
-	two := g.prof.TwoSrcProb
-	if fp {
-		two *= 0.45
-	}
-	if g.rng.Bool(two) {
-		in.Dep2 = g.dep(op, mean)
+	if g.rng.below(twoT) {
+		in.Dep2 = g.dep(op, depT)
 	}
 	if op == Load {
 		g.sinceLoad = 0
@@ -191,8 +217,8 @@ func (g *Generator) Next() Inst {
 // mul/div, loads, branches) redraw when the producer at that distance was
 // a floating-point instruction: int and FP dataflow are largely disjoint
 // in real code, and this keeps FP latency off the integer critical path.
-func (g *Generator) dep(op Op, mean float64) int {
-	d := g.rng.Geometric(mean)
+func (g *Generator) dep(op Op, t uint64) int {
+	d := g.rng.geometric(t)
 	if op.IsFP() || op == Store {
 		return d
 	}
@@ -204,16 +230,16 @@ func (g *Generator) dep(op Op, mean float64) int {
 		if !g.opHist[idx].IsFP() {
 			break
 		}
-		d = g.rng.Geometric(mean)
+		d = g.rng.geometric(t)
 	}
 	return d
 }
 
 // pickOp samples the instruction class from the normalised mix.
 func (g *Generator) pickOp() Op {
-	r := g.rng.Float64()
-	for i, c := range g.cum {
-		if r < c {
+	k := g.rng.Uint64() >> 11
+	for i, t := range g.opT {
+		if k < t {
 			return Op(i)
 		}
 	}
@@ -223,7 +249,7 @@ func (g *Generator) pickOp() Op {
 // pickAddr samples a data address from the working-set model.
 func (g *Generator) pickAddr() (addr uint64, shared bool) {
 	// Short-term reuse: re-touch a recently accessed line.
-	if g.recentN > 0 && g.rng.Bool(g.prof.RepeatFrac) {
+	if g.recentN > 0 && g.rng.below(g.repeatT) {
 		line := g.recentLines[g.rng.Intn(g.recentN)]
 		return line*64 + align8(g.rng.Uint64()%64), false
 	}
@@ -239,11 +265,11 @@ func (g *Generator) pickAddr() (addr uint64, shared bool) {
 }
 
 func (g *Generator) pickRegionAddr() (addr uint64, shared bool) {
-	r := g.rng.Float64()
+	k := g.rng.Uint64() >> 11
 	switch {
-	case r < g.prof.HotFrac:
+	case k < g.hotT:
 		// Hot accesses may hit the cross-core shared region.
-		if g.rng.Bool(g.prof.SharedFrac) {
+		if g.rng.below(g.sharedT) {
 			return sharedBase + align8(g.rng.Uint64()%sharedBytes), true
 		}
 		// Skew toward low offsets: the product of HotSkew uniforms
@@ -257,9 +283,9 @@ func (g *Generator) pickRegionAddr() (addr uint64, shared bool) {
 			off = g.prof.HotBytes - 1
 		}
 		return g.hotLo + align8(off), false
-	case r < g.prof.HotFrac+g.prof.MidFrac:
+	case k < g.midT:
 		return g.midLo + align8(g.rng.Uint64()%g.prof.MidBytes), false
-	case r < g.prof.HotFrac+g.prof.MidFrac+g.prof.LargeFrac:
+	case k < g.largeT:
 		// The large region is also reused with a skew (product of two
 		// uniforms): programs revisit a warm subset of their big data
 		// structures rather than sweeping DRAM uniformly.
@@ -281,24 +307,22 @@ func align8(x uint64) uint64 { return x &^ 7 }
 // branch at pc. Site kinds are assigned deterministically from the PC so
 // the population matches the profile's fractions.
 func (g *Generator) site(pc uint64) *branchSite {
-	if s, ok := g.sites[pc]; ok {
+	s := &g.sites[(pc-g.codeLo)/4]
+	if s.kind != branchUnseen {
 		return s
 	}
 	h := pc * 0x9e3779b97f4a7c15
 	u := float64(h>>11) / (1 << 53)
-	s := &branchSite{}
 	switch {
 	case u < g.prof.BiasedFrac:
 		s.kind = branchBiased
-		s.taken = g.prof.BiasedTakenProb
 	case u < g.prof.BiasedFrac+g.prof.LoopFrac:
 		s.kind = branchLoop
 		// Vary periods across sites: period in [2, 2*LoopPeriod).
-		s.period = 2 + int((h>>32)%uint64(2*g.prof.LoopPeriod-2))
+		s.period = 2 + int32((h>>32)%uint64(2*g.prof.LoopPeriod-2))
 	default:
 		s.kind = branchRandom
 	}
-	g.sites[pc] = s
 	return s
 }
 
@@ -306,7 +330,7 @@ func (g *Generator) site(pc uint64) *branchSite {
 func (g *Generator) outcome(s *branchSite) bool {
 	switch s.kind {
 	case branchBiased:
-		return g.rng.Bool(s.taken)
+		return g.rng.below(g.biasT)
 	case branchLoop:
 		s.counter++
 		if s.counter >= s.period {
@@ -315,7 +339,7 @@ func (g *Generator) outcome(s *branchSite) bool {
 		}
 		return true // back edge
 	default:
-		return g.rng.Bool(0.5)
+		return g.rng.below(coinT)
 	}
 }
 

@@ -80,10 +80,20 @@ func TestGeneratorRejectsBadInput(t *testing.T) {
 	if _, err := NewGenerator(p, 1, -1); err == nil {
 		t.Error("negative core accepted")
 	}
-	bad := p
-	bad.MeanDep = 0
-	if _, err := NewGenerator(bad, 1, 0); err == nil {
-		t.Error("invalid profile accepted")
+	for name, mutate := range map[string]func(*Profile){
+		"zero MeanDep": func(p *Profile) { p.MeanDep = 0 },
+		// Below one 64-byte block a taken branch has no target block.
+		"32-byte code":        func(p *Profile) { p.CodeBytes = 32 },
+		"code beyond stride":  func(p *Profile) { p.CodeBytes = coreStride + 64 },
+		"huge loop period":    func(p *Profile) { p.LoopPeriod = maxLoopPeriod + 1 },
+		"single-trip loop":    func(p *Profile) { p.LoopPeriod = 1 },
+		"negative mix weight": func(p *Profile) { p.Mix[IntALU] = -1 },
+	} {
+		bad := p
+		mutate(&bad)
+		if _, err := NewGenerator(bad, 1, 0); err == nil {
+			t.Errorf("%s: invalid profile accepted", name)
+		}
 	}
 }
 

@@ -79,6 +79,10 @@ type Profile struct {
 	SerialFrac float64
 }
 
+// maxLoopPeriod bounds LoopPeriod so loop-site periods (< 2·LoopPeriod)
+// fit the generator's int32 site state.
+const maxLoopPeriod = 1 << 20
+
 // Validate checks internal consistency; generators call it on
 // construction.
 func (p Profile) Validate() error {
@@ -101,6 +105,11 @@ func (p Profile) Validate() error {
 	if p.HotBytes == 0 || p.MidBytes == 0 || p.LargeBytes == 0 || p.CodeBytes == 0 {
 		return fmt.Errorf("trace: profile %q has a zero-sized region", p.Name)
 	}
+	// Taken branches jump to a 64-byte block of the code region, and the
+	// region must not run into the next core's.
+	if p.CodeBytes < 64 || p.CodeBytes > coreStride {
+		return fmt.Errorf("trace: profile %q CodeBytes %d outside [64, %d]", p.Name, p.CodeBytes, coreStride)
+	}
 	if p.HotSkew < 1 {
 		return fmt.Errorf("trace: profile %q HotSkew %d < 1", p.Name, p.HotSkew)
 	}
@@ -110,8 +119,8 @@ func (p Profile) Validate() error {
 	if p.BiasedTakenProb < 0 || p.BiasedTakenProb > 1 {
 		return fmt.Errorf("trace: profile %q BiasedTakenProb %v", p.Name, p.BiasedTakenProb)
 	}
-	if p.LoopPeriod < 2 {
-		return fmt.Errorf("trace: profile %q LoopPeriod %d < 2", p.Name, p.LoopPeriod)
+	if p.LoopPeriod < 2 || p.LoopPeriod > maxLoopPeriod {
+		return fmt.Errorf("trace: profile %q LoopPeriod %d outside [2, %d]", p.Name, p.LoopPeriod, maxLoopPeriod)
 	}
 	if p.SharedFrac < 0 || p.SharedFrac > 1 || p.SerialFrac < 0 || p.SerialFrac >= 1 {
 		return fmt.Errorf("trace: profile %q sharing/serial fractions out of range", p.Name)

@@ -10,6 +10,8 @@
 // always generate the same trace.
 package trace
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64). It is used instead of math/rand so traces remain stable
 // across Go releases and so each (workload, core) pair owns an independent
@@ -53,18 +55,44 @@ func (r *RNG) Geometric(mean float64) int {
 	if mean < 1 {
 		panic("trace: geometric mean must be >= 1")
 	}
-	p := 1 / mean
+	return r.geometric(threshold(1 / mean))
+}
+
+// Bool returns true with probability p.
+func (r *RNG) Bool(p float64) bool {
+	return r.Float64() < p
+}
+
+// threshold converts a probability into the integer form of the test
+// Float64() < p. Float64 is k/2^53 for the integer k = Uint64()>>11, and
+// p·2^53 is exact in floating point (a power-of-two scaling), so
+// k/2^53 < p holds exactly when k < ⌈p·2^53⌉. Hot paths precompute the
+// threshold once and then draw with one integer compare, consuming the
+// same draws and returning the same results as the float test.
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN: Float64() < NaN is false
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// below reports whether one draw falls under threshold t: Bool for a
+// precomputed threshold.
+func (r *RNG) below(t uint64) bool {
+	return r.Uint64()>>11 < t
+}
+
+// geometric is Geometric for a success probability given as a threshold.
+func (r *RNG) geometric(t uint64) int {
 	n := 1
-	for r.Float64() >= p {
+	for !r.below(t) {
 		n++
 		if n >= 1024 { // cap pathological tails
 			break
 		}
 	}
 	return n
-}
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
 }

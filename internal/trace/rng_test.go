@@ -139,3 +139,30 @@ func TestRNGProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestThresholdMatchesFloat: the integer test k < threshold(p) agrees
+// with Float64() < p for every draw k, including the draws on either side
+// of p's boundary and the edge probabilities.
+func TestThresholdMatchesFloat(t *testing.T) {
+	ps := []float64{0, -0.5, math.NaN(), 1, 1.5, math.Inf(1), 0.5, 0.55, 0.975,
+		1.0 / 3.5, 0.45 * 0.6, 5e-324, 1 - 1.0/(1<<53), 3.0 / (1 << 53)}
+	r := NewRNG(17)
+	for i := 0; i < 2000; i++ {
+		ps = append(ps, r.Float64(), 1/(1+r.Float64()*100))
+	}
+	for _, p := range ps {
+		th := threshold(p)
+		ks := []uint64{0, 1, 1<<53 - 1}
+		if th > 0 {
+			ks = append(ks, th-1)
+		}
+		if th < 1<<53 {
+			ks = append(ks, th)
+		}
+		for _, k := range ks {
+			if got, want := k < th, float64(k)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v k=%d: threshold test %v, float test %v", p, k, got, want)
+			}
+		}
+	}
+}
