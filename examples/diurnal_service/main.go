@@ -1,7 +1,7 @@
 // diurnal_service serves a day of traffic on a heterogeneous SoC and
 // compares scheduling policies on energy per request. The service stats
-// of the 14-workload mix are measured once per core class (a 1-core
-// BaseCMOS and a 1-core BaseTFET run each), then the fleet simulator
+// of the 14-workload mix come from one 1-core BaseCMOS run per workload,
+// with the BaseTFET class priced from it; then the fleet simulator
 // steps a c4t4g0 mix through the synthetic diurnal RPS curve under each
 // policy: naive keeps everything awake at nominal, util wakes TFET
 // cores first to a utilization target, and cacheaware splits the mix at

@@ -24,7 +24,7 @@ import (
 //	soc/c<N>t<M>g<K>/<workload>/...            soc composition
 //	trace/stats/<workload>/.../core=<n>        trace.Summarize
 //
-// Keys carrying variants (sweeps, DVFS operating points) mutate their
+// Keys carrying variants (sweeps, one-core components) mutate their
 // config out-of-band and return ok=false: they must execute in the
 // process that built them. Devices whose results ignore the instruction
 // budget (InstrInKey == false) only resolve with Instr pinned to 0. o

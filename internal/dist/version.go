@@ -26,7 +26,10 @@ import (
 // "traffic.Result" in the codec, and CPU component runs gain the cache
 // MPKI/occupancy fields the cache-aware scheduler conditions on, so v4
 // cpu entries would replay without them.
-const CacheVersion = 5
+// v6: CPUResult gains Activity, from which BaseTFET, the one-core
+// BaseTFET components and the Fig. 14 operating points are repriced; a
+// v5 cpu entry has none to reprice.
+const CacheVersion = 6
 
 var deviceHash = sync.OnceValue(func() string {
 	// Hash the fully-rendered CPU and GPU configuration tables: any

@@ -46,7 +46,7 @@ type Key struct {
 	// Instr is the instruction budget (0 = the simulator default).
 	Instr uint64
 	// Variant discriminates runs that tweak the named config beyond the
-	// fields above (a DVFS operating point, a sweep value). Empty for
+	// fields above (a sweep value, a one-core component). Empty for
 	// stock runs, so suites and experiments share cache entries.
 	Variant string
 }

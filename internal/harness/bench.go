@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"hetcore/internal/engine"
 	"hetcore/internal/gpu"
 	"hetcore/internal/hetsim"
 	"hetcore/internal/obs"
@@ -107,17 +108,32 @@ func MeasureSimRate(instr, seed uint64, jobs int) (BenchRecord, error) {
 	// Full-suite wall time: the 6-config fig7 matrix over the workload
 	// subset, executed through the run-plan engine so the measured
 	// number tracks the parallel speedup -jobs delivers on this host.
-	// A smaller per-run budget keeps the 6×4 matrix comparable in cost
-	// to the single runs above.
+	// Every cell simulates as its own job — the figures price BaseTFET
+	// from BaseCMOS instead — so the suite stays the same 24 simulations
+	// across records. A smaller per-run budget keeps the 6×4 matrix
+	// comparable in cost to the single runs above.
 	suiteOpts, err := Options{
-		Instructions: instr / 4, Seed: seed,
-		Workloads: benchSuiteWorkloads, Jobs: jobs,
+		Instructions: instr / 4, Seed: seed, Jobs: jobs,
 	}.WithSharedEngine()
 	if err != nil {
 		return rec, err
 	}
+	var suite []engine.Job
+	for _, cn := range fig7Configs {
+		cfg, err := hetsim.CPUConfigByName(cn)
+		if err != nil {
+			return rec, err
+		}
+		for _, w := range benchSuiteWorkloads {
+			p, err := trace.CPUWorkload(w)
+			if err != nil {
+				return rec, err
+			}
+			suite = append(suite, suiteOpts.cpuJob(cfg, p))
+		}
+	}
 	start = time.Now()
-	if _, _, err := cpuSuite(fig7Configs, suiteOpts); err != nil {
+	if _, err := suiteOpts.Engine.RunAll(suite); err != nil {
 		return rec, err
 	}
 	swall := time.Since(start).Seconds()

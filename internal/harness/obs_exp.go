@@ -17,37 +17,21 @@ var cyclesConfigs = []string{"BaseCMOS", "BaseTFET", "BaseHet", "AdvHet"}
 // the fraction of core cycles spent committing vs stalled on memory,
 // mispredict recovery, fetch, rename backpressure or empty issue. This is
 // the diagnostic behind the paper's Figure 7 slowdowns — it shows *where*
-// the TFET latencies go. The runs are stock CPU keys (a subset of the
-// fig7 matrix), so a shared engine serves them from cache.
+// the TFET latencies go. The runs are a subset of the fig7 suite, so a
+// shared engine serves them from cache.
 func CPUCycles(opts Options) (Table, error) {
-	profiles, err := opts.cpuWorkloads()
-	if err != nil {
-		return Table{}, err
-	}
-	jobs := make([]engine.Job, 0, len(cyclesConfigs)*len(profiles))
-	for _, cn := range cyclesConfigs {
-		cfg, err := hetsim.CPUConfigByName(cn)
-		if err != nil {
-			return Table{}, err
-		}
-		for _, p := range profiles {
-			jobs = append(jobs, opts.cpuJob(cfg, p))
-		}
-	}
-	outs, err := opts.engine().RunAll(jobs)
+	results, workloads, err := cpuSuite(cyclesConfigs, opts)
 	if err != nil {
 		return Table{}, err
 	}
 
 	cols := []string{"commit", "mem", "mispredict", "fetch", "rename", "issue"}
 	rows := make([]Row, 0, len(cyclesConfigs))
-	ji := 0
 	for _, cn := range cyclesConfigs {
 		var attr cpu.CycleAttr
 		var cycles uint64
-		for range profiles {
-			res := outs[ji].(hetsim.CPUResult)
-			ji++
+		for _, w := range workloads {
+			res := results[cn][w]
 			attr = attr.Add(res.Attr)
 			cycles += res.CoreCycles
 		}

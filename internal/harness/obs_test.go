@@ -115,14 +115,21 @@ func TestObservedExperimentRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunExperiment(e, opts); err != nil {
+	tab, err := RunExperiment(e, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if v, err := tab.Cell("barnes", "BaseTFET"); err != nil || v <= 1 {
+		t.Errorf("fig7 BaseTFET/barnes = %v, %v: want a priced slowdown above 1", v, err)
+	}
 	recs := o.Records.Records()
-	if len(recs) != len(fig7Configs) {
-		t.Fatalf("%d records, want %d (one per config)", len(recs), len(fig7Configs))
+	if want := timingClasses(t, fig7Configs); uint64(len(recs)) != want {
+		t.Fatalf("%d records, want %d (one per timing class)", len(recs), want)
 	}
 	for _, r := range recs {
+		if r.Config == "BaseTFET" {
+			t.Errorf("priced BaseTFET view emitted a run record")
+		}
 		if r.Experiment != "fig7" {
 			t.Errorf("record %s/%s has experiment %q, want fig7", r.Config, r.Workload, r.Experiment)
 		}

@@ -83,6 +83,12 @@ type CPUResult struct {
 	// them into one top-down bucket (Attr.Total() == CoreCycles).
 	CoreCycles uint64
 	Attr       cpu.CycleAttr
+
+	// Activity is the measured region's activity vector with TimeSec
+	// left zero: it depends only on the simulated timing, so Reprice
+	// can price the run under any configuration of the same timing
+	// class.
+	Activity energy.CPUActivity
 }
 
 // ED returns the energy-delay product (J·s).
@@ -273,21 +279,15 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 	act.RingHops = counts.RingHops
 	act.DRAMAccesses = counts.DRAMAccesses
 
-	timeSec := float64(maxCycles) / (cfg.FreqGHz() * 1e9)
-	act.TimeSec = timeSec
 	act.Cores = n
 
-	bd, err := energy.ComputeCPU(energy.DefaultCPULibrary(), act, asn)
-	if err != nil {
-		return CPUResult{}, err
-	}
-
 	res := CPUResult{
-		Config: cfg.Name, Workload: prof.Name, Cores: n,
-		Cycles: maxCycles, TimeSec: timeSec, Energy: bd,
+		Workload: prof.Name, Cores: n,
+		Cycles:       maxCycles,
 		Instructions: insts,
 		DL1HitRate:   counts.DL1.HitRate(),
 		CoreCycles:   coreCycles, Attr: attr,
+		Activity: act,
 	}
 	if insts > 0 {
 		perKilo := 1000 / float64(insts)
@@ -314,6 +314,11 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 	if lookups > 0 {
 		res.MispredictRate = float64(mispred) / float64(lookups)
 	}
+	res, err = price(res, cfg, asn)
+	if err != nil {
+		return CPUResult{}, err
+	}
+	timeSec, bd := res.TimeSec, res.Energy
 	if o := opts.Obs; o.Enabled() {
 		if reg := o.Reg(); reg != nil {
 			counts.Visit(func(name string, v uint64) {

@@ -77,6 +77,27 @@ for want in '"schema": "hetcore.prof/v1"' '"stage_attribution"' '"stage": "cpu.e
     fi
 done
 
+echo "== paper-figure gate (hetcore all vs results_full.txt) =="
+# The committed results_full.txt is the output contract: every table of
+# a cold `hetcore all` must match it byte for byte. A second run on the
+# same -cache-dir must simulate nothing and print the same bytes.
+"$tmp/hetcore" all -seed 1 -jobs 2 -cache-dir "$tmp/all-cache" >"$tmp/all-cold.txt"
+cmp results_full.txt "$tmp/all-cold.txt" || {
+    echo "hetcore all output differs from results_full.txt" >&2
+    exit 1
+}
+"$tmp/hetcore" all -seed 1 -jobs 2 -cache-dir "$tmp/all-cache" \
+    -metrics-out "$tmp/all-warm.json" >"$tmp/all-warm.txt"
+cmp results_full.txt "$tmp/all-warm.txt" || {
+    echo "cached hetcore all output differs from results_full.txt" >&2
+    exit 1
+}
+if ! grep -q '"engine_jobs_run": 0' "$tmp/all-warm.json"; then
+    echo "cached hetcore all still simulated (engine_jobs_run != 0):" >&2
+    grep '"engine_' "$tmp/all-warm.json" >&2
+    exit 1
+fi
+
 echo "== dist gate (persistent cache + hetserved) =="
 # End-to-end check of internal/dist: run the same experiment twice
 # against one -cache-dir — the second run must simulate nothing
