@@ -143,8 +143,8 @@ func (c *Cache) MarkDirty(addr uint64) {
 	base := c.setOf(la) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.data[base+w]
-		if l.valid && l.tag == la {
-			l.dirty = true
+		if l.valid() && l.tag == la {
+			l.meta |= lineDirty
 			return
 		}
 	}

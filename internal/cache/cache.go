@@ -14,14 +14,24 @@ package cache
 
 import "fmt"
 
-// line is one cache line's tag state.
+// line is one cache line's tag state. meta packs the LRU sequence number
+// (the cache's access tick; higher = more recently used) above the dirty
+// and valid bits, so a line takes 16 bytes: the tag arrays of the shared
+// L3 are most of a run's memory.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; higher = more recently used.
-	lru uint64
+	tag  uint64
+	meta uint64
 }
+
+const (
+	lineValid = 1 << iota
+	lineDirty
+	lruShift = iota
+)
+
+func (l *line) valid() bool { return l.meta&lineValid != 0 }
+func (l *line) dirty() bool { return l.meta&lineDirty != 0 }
+func (l *line) lru() uint64 { return l.meta >> lruShift }
 
 // Stats counts the activity of one cache array, consumed by the energy
 // model.
@@ -117,7 +127,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) validLines() int {
 	n := 0
 	for i := range c.data {
-		if c.data[i].valid {
+		if c.data[i].valid() {
 			n++
 		}
 	}
@@ -164,10 +174,10 @@ func (c *Cache) Access(addr uint64, isWrite bool) Result {
 	// Hit path.
 	for w := 0; w < c.ways; w++ {
 		l := &c.data[base+w]
-		if l.valid && l.tag == la {
-			l.lru = c.tick
+		if l.valid() && l.tag == la {
+			l.meta = c.tick<<lruShift | l.meta&lineDirty | lineValid
 			if isWrite {
-				l.dirty = true
+				l.meta |= lineDirty
 			}
 			return Result{Hit: true}
 		}
@@ -182,25 +192,28 @@ func (c *Cache) Access(addr uint64, isWrite bool) Result {
 	victim := base
 	for w := 0; w < c.ways; w++ {
 		l := &c.data[base+w]
-		if !l.valid {
+		if !l.valid() {
 			victim = base + w
 			break
 		}
-		if c.data[victim].valid && l.lru < c.data[victim].lru {
+		if c.data[victim].valid() && l.lru() < c.data[victim].lru() {
 			victim = base + w
 		}
 	}
 	res := Result{}
 	v := &c.data[victim]
-	if v.valid {
+	if v.valid() {
 		res.Evicted = true
 		res.EvictedAddr = v.tag << c.lineBits
-		res.EvictedDirty = v.dirty
-		if v.dirty {
+		res.EvictedDirty = v.dirty()
+		if v.dirty() {
 			c.stats.Writebacks++
 		}
 	}
-	*v = line{tag: la, valid: true, dirty: isWrite, lru: c.tick}
+	v.tag, v.meta = la, c.tick<<lruShift|lineValid
+	if isWrite {
+		v.meta |= lineDirty
+	}
 	return res
 }
 
@@ -211,7 +224,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	base := c.setOf(la) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.data[base+w]
-		if l.valid && l.tag == la {
+		if l.valid() && l.tag == la {
 			return true
 		}
 	}
@@ -225,9 +238,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	base := c.setOf(la) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.data[base+w]
-		if l.valid && l.tag == la {
+		if l.valid() && l.tag == la {
 			c.stats.Invalidates++
-			present, dirty = true, l.dirty
+			present, dirty = true, l.dirty()
 			*l = line{}
 			return
 		}
@@ -242,8 +255,8 @@ func (c *Cache) CleanLine(addr uint64) {
 	base := c.setOf(la) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.data[base+w]
-		if l.valid && l.tag == la {
-			l.dirty = false
+		if l.valid() && l.tag == la {
+			l.meta &^= lineDirty
 			return
 		}
 	}
