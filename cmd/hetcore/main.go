@@ -24,9 +24,10 @@
 // latency quantiles against the SLO; "bench" measures the
 // simulation rate of this host (and with
 // -history appends the record to a BENCH_history.jsonl trend file);
-// "hotspots" runs one workload under CPU+heap profile plus the in-sim
-// stage-cost sampler and prints where the simulator's own wall-time and
-// allocations go (schema hetcore.prof/v1 with -o/-json);
+// "hotspots" runs one workload under CPU+heap profile and prints where
+// the simulator's own CPU time and allocations go, ranked by cumulative
+// and flat CPU time and by allocation (schema hetcore.prof/v1 with
+// -o/-json);
 // "trend" compares the newest BENCH_history.jsonl entries against the
 // median of their predecessors and exits non-zero on a regression;
 // "diff" compares two -metrics-out reports, two bench records or two
@@ -118,7 +119,7 @@ Commands:
   soc [...]            budgeted SoC design-space search (Pareto front)
   traffic [...]        diurnal traffic scenarios: mixes x scheduling policies
   bench [...]          measure this host's simulation rate
-  hotspots [...]       profile one workload: stage attribution + top functions
+  hotspots [...]       profile one workload: top functions by cumulative/flat CPU and allocation
   trend [...]          gate the newest BENCH_history.jsonl entries on their history
   diff old new         compare two reports/bench/load records, exit 1 on regression
   version              print the cache/wire version stamp
@@ -142,8 +143,6 @@ Flags for run/all:
   -serve ADDR          serve the live telemetry dashboard (e.g. :8090)
   -cpuprofile F        write pprof CPU profile
   -memprofile F        write pprof heap profile
-  -stage-prof          sample host wall-time/alloc attribution per simulated
-                       pipeline stage (report manifest, registry and dashboard)
 
 Flags for soc (plus all run/all flags above):
   -budget-w W          SoC power budget in watts (default 20)
@@ -177,7 +176,9 @@ Flags for hotspots:
   -workload W          CPU workload / GPU kernel (default barnes / MatrixMultiplication)
   -instr N             CPU instruction budget (default 2000000)
   -seed S              workload synthesis seed
-  -top N               table depth (default 10)
+  -top N               flat table depth (default 10); the cumulative table
+                       lists 3N, enough to reach the pipeline phases under
+                       Core.step
   -o F                 write the hetcore.prof/v1 report JSON here
   -json                print the report JSON to stdout instead of the table
 
@@ -511,8 +512,8 @@ func bench(args []string) error {
 	return nil
 }
 
-// hotspots profiles one workload run: CPU + heap pprof plus the in-sim
-// stage-cost sampler, reported as a table or hetcore.prof/v1 JSON.
+// hotspots profiles one workload run under CPU + heap pprof, reported
+// as a table or hetcore.prof/v1 JSON.
 func hotspots(args []string) error {
 	fs := flag.NewFlagSet("hotspots", flag.ExitOnError)
 	device := fs.String("device", "cpu", "simulator to profile: cpu or gpu")
@@ -520,7 +521,7 @@ func hotspots(args []string) error {
 	workload := fs.String("workload", "", "CPU workload / GPU kernel (default barnes / MatrixMultiplication)")
 	instr := fs.Uint64("instr", 0, "CPU instruction budget (0 = 2000000)")
 	seed := fs.Uint64("seed", 1, "workload synthesis seed")
-	top := fs.Int("top", 10, "function-table depth")
+	top := fs.Int("top", 10, "flat function-table depth (the cumulative table lists 3x)")
 	out := fs.String("o", "", "write the hetcore.prof/v1 report JSON here")
 	js := fs.Bool("json", false, "print the report JSON to stdout")
 	if err := fs.Parse(args); err != nil {

@@ -3,7 +3,6 @@ package cpu
 import (
 	"fmt"
 
-	"hetcore/internal/prof"
 	"hetcore/internal/trace"
 )
 
@@ -289,16 +288,6 @@ type Core struct {
 	sampleEvery uint64
 	nextSample  uint64
 
-	// Host-cost stage profiling (internal/prof): on cycles that cross a
-	// multiple of profEvery, lap is set to profLap for the duration of
-	// the cycle and the stage boundaries in step() attribute wall-time
-	// and heap-alloc deltas to it. profNext is MaxUint64 when disarmed,
-	// so the hot path pays one compare plus nil checks on lap.
-	profLap   *prof.Lap
-	lap       *prof.Lap
-	profEvery uint64
-	profNext  uint64
-
 	stats Stats
 }
 
@@ -331,7 +320,6 @@ func NewCore(cfg Config, mem MemPort, src InstSource) (*Core, error) {
 		fpRegBudget:  max(8, cfg.FPRegs-archRegs),
 		lastLine:     ^uint64(0),
 		nextSample:   ^uint64(0),
-		profNext:     ^uint64(0),
 	}
 	// la[0] must exist, and steering looks SteerWindow instructions
 	// past it.
@@ -377,21 +365,6 @@ func (c *Core) SetSampler(intervalCycles uint64, fn func(Stats)) {
 	c.nextSample = (c.stats.Cycles/intervalCycles + 1) * intervalCycles
 }
 
-// SetStageProf arms host-cost stage profiling: every time the cycle
-// count crosses a multiple of intervalCycles, that cycle's stage
-// boundaries are timed into lap (which folds into its shared
-// prof.Collector). intervalCycles 0 or a nil lap disarms profiling; a
-// disarmed core pays one integer compare per cycle.
-func (c *Core) SetStageProf(intervalCycles uint64, lap *prof.Lap) {
-	if intervalCycles == 0 || lap == nil {
-		c.profLap, c.profEvery, c.profNext = nil, 0, ^uint64(0)
-		return
-	}
-	c.profLap = lap
-	c.profEvery = intervalCycles
-	c.profNext = (c.stats.Cycles/intervalCycles + 1) * intervalCycles
-}
-
 // maybeSample fires the telemetry callback if the cycle count crossed
 // the next sampling boundary, then re-arms past the current cycle.
 func (c *Core) maybeSample() {
@@ -415,11 +388,6 @@ func (c *Core) Run(n uint64) Stats {
 // step advances one cycle (possibly fast-forwarding through guaranteed-idle
 // cycles).
 func (c *Core) step() {
-	if c.stats.Cycles >= c.profNext {
-		c.profNext = (c.stats.Cycles/c.profEvery + 1) * c.profEvery
-		c.lap = c.profLap
-		c.lap.Begin()
-	}
 	c.cycle++
 	c.stats.Cycles++
 	c.stats.ROBOccAccum += uint64(c.robCount)
@@ -427,17 +395,8 @@ func (c *Core) step() {
 	c.stats.LSQOccAccum += uint64(c.lsq)
 
 	committed := c.commit()
-	if c.lap != nil {
-		c.lap.Lap(prof.CPUCommit)
-	}
 	issued := c.issue()
-	if c.lap != nil {
-		c.lap.Lap(prof.CPUIssue)
-	}
 	dispatched := c.dispatch()
-	if c.lap != nil {
-		c.lap.Lap(prof.CPURename)
-	}
 
 	if committed > 0 {
 		c.stats.Attr.CommitBound++
@@ -447,10 +406,6 @@ func (c *Core) step() {
 
 	if committed == 0 && issued == 0 && dispatched == 0 {
 		c.fastForward()
-	}
-	if c.lap != nil {
-		c.lap.Lap(prof.CPUExecute)
-		c.lap = nil
 	}
 	c.maybeSample()
 }
@@ -844,13 +799,6 @@ func (c *Core) steer() bool {
 func (c *Core) fillLookahead() {
 	if c.laLen >= c.laNeed {
 		return
-	}
-	// On profiled cycles the refill (trace decode + branch prediction)
-	// is frontend work: charge the dispatch time so far to rename and
-	// the refill itself to fetch.
-	if l := c.lap; l != nil {
-		l.Lap(prof.CPURename)
-		defer l.Lap(prof.CPUFetch)
 	}
 	for ; c.laLen < c.laNeed; c.laLen++ {
 		s := &c.la[(c.laHead+c.laLen)&(len(c.la)-1)]

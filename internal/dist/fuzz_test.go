@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 
@@ -40,6 +41,51 @@ func FuzzDiskCacheGet(f *testing.F) {
 		}
 		if _, _, err := EncodeResult(v); err != nil {
 			t.Fatalf("hit %T does not re-encode: %v", v, err)
+		}
+	})
+}
+
+// FuzzJobRequest: for any POST /v1/jobs body, decoding it as the daemon
+// does and resolving its key returns without panicking, and a resolved
+// key yields a job. The job itself is never run: this exercises the
+// wire decoder and the resolver, not the simulators.
+func FuzzJobRequest(f *testing.F) {
+	for _, k := range []engine.Key{
+		{Device: "cpu", Config: "BaseCMOS", Workload: "barnes", Seed: 1, Instr: 10_000},
+		{Device: "gpu", Config: "AdvHet-2X", Workload: "URNG", Seed: 1},
+		{Device: "cmp", Config: "HeteroCMP-nomig", Workload: "radix", Seed: 1, Instr: 10_000},
+		{Device: "soc", Config: "c1t2g0", Workload: "fft", Seed: 1, Instr: 10_000},
+		{Device: "traffic", Config: "c4t4g0+util", Workload: "diurnal", Seed: 1, Instr: 10_000},
+		{Device: "trace", Config: "stats", Workload: "canneal", Seed: 1, Instr: 10_000, Variant: "core=2"},
+		{Device: "cpu", Config: "BaseCMOS", Workload: "barnes", Seed: 1, Variant: "cores=1"},
+	} {
+		// Every seed but the one-core component variant is a stock key
+		// a daemon resolves.
+		if want := k.Variant != "cores=1"; Resolvable(k) != want {
+			f.Fatalf("seed %s: Resolvable = %v, want %v", k, !want, want)
+		}
+		body, err := json.Marshal(JobRequest{Key: k, TraceID: "t1", SpanID: "s1", SubmitUnixNano: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"key":{"Device":"trace","Config":"stats","Variant":"core=%d"}}`))
+	f.Add([]byte(`{"key":null}`))
+	f.Add([]byte(`[]`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req JobRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		_ = req.Key.String()
+		fn, ok := Resolve(req.Key, nil)
+		if ok && fn == nil {
+			t.Fatalf("Resolve(%s) reported ok with a nil job", req.Key)
+		}
+		if ok != Resolvable(req.Key) {
+			t.Fatalf("Resolve and Resolvable disagree on %s", req.Key)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hetcore/internal/cache"
-	"hetcore/internal/prof"
 	"hetcore/internal/trace"
 )
 
@@ -83,16 +82,6 @@ type Device struct {
 	sample      func(Stats)
 	sampleEvery int64
 	nextSample  int64
-
-	// Host-cost stage profiling (internal/prof): on cycles that cross a
-	// multiple of profEvery, lap is set to profLap for the duration of
-	// the cycle and decode/memAccess/scheduler boundaries attribute
-	// wall-time and heap-alloc deltas to it. profNext is MaxInt64 when
-	// disarmed.
-	profLap   *prof.Lap
-	lap       *prof.Lap
-	profEvery int64
-	profNext  int64
 }
 
 // NewDevice builds a device for a kernel launch.
@@ -108,7 +97,6 @@ func NewDevice(cfg Config, kern Kernel, seed uint64) (*Device, error) {
 		kern:       kern,
 		active:     kern.Wavefronts,
 		nextSample: int64(1) << 62,
-		profNext:   int64(1) << 62,
 	}
 	var err error
 	if d.l2, err = cache.New("gpu-l2", cfg.L2Size, cfg.L2Ways, cfg.LineSize); err != nil {
@@ -191,21 +179,6 @@ func (d *Device) SetSampler(intervalCycles uint64, fn func(Stats)) {
 	d.nextSample = (d.cycle/d.sampleEvery + 1) * d.sampleEvery
 }
 
-// SetStageProf arms host-cost stage profiling: every time the device
-// clock crosses a multiple of intervalCycles, that cycle's phase
-// boundaries (decode, issue/scheduling, memory access) are timed into
-// lap, which folds into its shared prof.Collector. intervalCycles 0 or
-// a nil lap disarms profiling.
-func (d *Device) SetStageProf(intervalCycles uint64, lap *prof.Lap) {
-	if intervalCycles == 0 || lap == nil {
-		d.profLap, d.profEvery, d.profNext = nil, 0, int64(1)<<62
-		return
-	}
-	d.profLap = lap
-	d.profEvery = int64(intervalCycles)
-	d.profNext = (d.cycle/d.profEvery + 1) * d.profEvery
-}
-
 // maybeSample fires the telemetry callback if the clock crossed the next
 // sampling boundary, then re-arms past the current cycle.
 func (d *Device) maybeSample() {
@@ -226,11 +199,6 @@ func (d *Device) Run() Stats {
 	}
 	for d.active > 0 {
 		d.cycle++
-		if d.cycle >= d.profNext {
-			d.profNext = (d.cycle/d.profEvery + 1) * d.profEvery
-			d.lap = d.profLap
-			d.lap.Begin()
-		}
 		progressed := false
 		for _, cu := range d.cus {
 			if cu.nextIssue > d.cycle {
@@ -278,10 +246,6 @@ func (d *Device) Run() Stats {
 			d.stats.Attr.SIMDBusy++
 		} else {
 			d.fastForward()
-		}
-		if d.lap != nil {
-			d.lap.Lap(prof.GPUIssue)
-			d.lap = nil
 		}
 		d.maybeSample()
 	}
@@ -375,12 +339,6 @@ func (d *Device) fastForward() {
 func (d *Device) decode(wv *wave) {
 	if wv.pending != nil {
 		return
-	}
-	// On profiled cycles the materialisation is frontend work: charge
-	// the scheduling time so far to issue and the decode itself to fetch.
-	if l := d.lap; l != nil {
-		l.Lap(prof.GPUIssue)
-		defer l.Lap(prof.GPUFetch)
 	}
 	k := d.kern
 	roll := wv.rng.Float64()
@@ -490,12 +448,6 @@ func (d *Device) issue(cu *computeUnit, wv *wave, beats int64) {
 // returns its latency: the slowest of the Divergence line accesses, which
 // pipeline behind one another at one per cycle.
 func (d *Device) memAccess(cu *computeUnit, wv *wave) int64 {
-	// On profiled cycles the cache walks are memory-phase work: charge
-	// the issue time so far to issue and the accesses to mem.
-	if l := d.lap; l != nil {
-		l.Lap(prof.GPUIssue)
-		defer l.Lap(prof.GPUMem)
-	}
 	k := d.kern
 	worst := int64(0)
 	for i := 0; i < k.Divergence; i++ {

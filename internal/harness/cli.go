@@ -13,7 +13,6 @@ import (
 
 	"hetcore/internal/engine"
 	"hetcore/internal/obs"
-	"hetcore/internal/prof"
 )
 
 // SimFlags are the simulation-budget flags every CLI shares.
@@ -91,7 +90,6 @@ type ObsFlags struct {
 	Serve      string
 	CPUProfile string
 	MemProfile string
-	StageProf  bool
 }
 
 // AddObsFlags registers the shared observability flags on fs.
@@ -103,13 +101,11 @@ func AddObsFlags(fs *flag.FlagSet) *ObsFlags {
 	fs.StringVar(&f.Serve, "serve", "", "serve the live telemetry dashboard on this addr (e.g. :8090)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile here")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile here")
-	fs.BoolVar(&f.StageProf, "stage-prof", false, "sample host wall-time/alloc attribution per simulated pipeline stage")
 	return &f
 }
 
 func (f *ObsFlags) enabled() bool {
-	return f.MetricsOut != "" || f.TraceOut != "" || f.Progress || f.Serve != "" ||
-		f.StageProf
+	return f.MetricsOut != "" || f.TraceOut != "" || f.Progress || f.Serve != ""
 }
 
 // ObsSession is one CLI invocation's observability state: the Observer to
@@ -169,9 +165,6 @@ func (f *ObsFlags) Start(command []string) (*ObsSession, error) {
 		o := &obs.Observer{
 			Metrics: obs.NewRegistry(),
 			Records: &obs.RecordSink{},
-		}
-		if f.StageProf {
-			o.Prof = prof.NewCollector(0)
 		}
 		if f.TraceOut != "" {
 			o.Trace = obs.NewTraceWriter()
@@ -287,16 +280,6 @@ func (s *ObsSession) Report() obs.Report {
 	}
 	if wall > 0 {
 		m.SimRateKIPS = float64(insts) / wall / 1e3
-	}
-	if ps := s.Obs.StageProf().Snapshot(); len(ps.Stages) > 0 {
-		m.StageProfile = ps.Stages
-		if reg := s.Obs.Reg(); reg != nil {
-			for _, sc := range ps.Stages {
-				reg.Gauge("prof." + sc.Stage + ".wall_ns").Set(float64(sc.WallNS))
-				reg.Gauge("prof." + sc.Stage + ".alloc_bytes").Set(float64(sc.AllocBytes))
-				reg.Gauge("prof." + sc.Stage + ".share").Set(sc.Share)
-			}
-		}
 	}
 	var snap obs.Snapshot
 	if reg := s.Obs.Reg(); reg != nil {

@@ -9,7 +9,6 @@ import (
 
 	"hetcore/internal/gpu"
 	"hetcore/internal/hetsim"
-	"hetcore/internal/obs"
 	"hetcore/internal/prof"
 	"hetcore/internal/trace"
 )
@@ -27,15 +26,18 @@ type HotspotsOptions struct {
 	// GPU, whose kernels have fixed wave budgets).
 	Instructions uint64
 	Seed         uint64
-	// TopN bounds the per-profile function tables (0 = 10).
+	// TopN bounds the flat function tables (0 = 10). The cumulative
+	// table lists 3*TopN: it opens with the call chain from main down to
+	// the simulator loop, all near 100%, and the pipeline phases sit
+	// below it (Core.commit ranks about 17th for barnes).
 	TopN int
 }
 
-// RunHotspots runs one workload under a CPU profile, a heap profile and
-// the in-sim stage-cost sampler, then parses the pprof protos and
-// assembles the hetcore.prof/v1 report: stage attribution plus flat
-// top-N functions by CPU time and by allocation. It must not run while
-// another CPU profile is active (StartCPUProfile is process-global).
+// RunHotspots runs one workload under a CPU profile and a heap profile,
+// then parses the pprof protos and assembles the hetcore.prof/v1
+// report: top-N functions by cumulative CPU time, by flat CPU time and
+// by allocation. It must not run while another CPU profile is active
+// (StartCPUProfile is process-global).
 func RunHotspots(opts HotspotsOptions) (*prof.Report, error) {
 	if opts.Device == "" {
 		opts.Device = "cpu"
@@ -49,9 +51,6 @@ func RunHotspots(opts HotspotsOptions) (*prof.Report, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-
-	collector := prof.NewCollector(0)
-	o := &obs.Observer{Prof: collector}
 
 	var cpuBuf bytes.Buffer
 	if err := runpprof.StartCPUProfile(&cpuBuf); err != nil {
@@ -85,7 +84,7 @@ func RunHotspots(opts HotspotsOptions) (*prof.Report, error) {
 			break
 		}
 		res, err := hetsim.RunCPU(cfg, wl,
-			hetsim.RunOpts{TotalInstructions: instr, Seed: opts.Seed, Obs: o})
+			hetsim.RunOpts{TotalInstructions: instr, Seed: opts.Seed})
 		if err != nil {
 			runErr = err
 			break
@@ -106,7 +105,7 @@ func RunHotspots(opts HotspotsOptions) (*prof.Report, error) {
 			runErr = err
 			break
 		}
-		res, err := hetsim.RunGPUObserved(cfg, kern, opts.Seed, o)
+		res, err := hetsim.RunGPU(cfg, kern, opts.Seed)
 		if err != nil {
 			runErr = err
 			break
@@ -121,7 +120,6 @@ func RunHotspots(opts HotspotsOptions) (*prof.Report, error) {
 		return nil, runErr
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
-	rep.StageAttribution = collector.Snapshot().Stages
 
 	var heapBuf bytes.Buffer
 	runtime.GC()
@@ -134,6 +132,7 @@ func RunHotspots(opts HotspotsOptions) (*prof.Report, error) {
 		return nil, fmt.Errorf("harness: parsing CPU profile: %w", err)
 	}
 	if idx := cpuProf.ValueIndex("cpu"); idx >= 0 {
+		rep.CPUCumTop = cpuProf.TopCumulative(idx, 3*opts.TopN)
 		rep.CPUTop = cpuProf.TopFunctions(idx, opts.TopN)
 	}
 	heapProf, err := prof.ParseProfile(heapBuf.Bytes())

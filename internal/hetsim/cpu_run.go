@@ -169,8 +169,6 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 	detach := attachCPUTelemetry(opts.Obs,
 		"cpu."+cfg.Name+"."+prof.Name+".", cfg.FreqGHz(), cores, hier, asn)
 	defer detach()
-	detachProf := attachCPUStageProf(opts.Obs, cores)
-	defer detachProf()
 
 	runInterleaved := func(remaining []uint64) {
 		for {

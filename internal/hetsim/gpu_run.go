@@ -56,7 +56,6 @@ func RunGPUObserved(cfg GPUConfig, kern gpu.Kernel, seed uint64, o *obs.Observer
 		return GPUResult{}, fmt.Errorf("hetsim %s: %w", cfg.Name, err)
 	}
 	attachGPUTelemetry(o, "gpu."+cfg.Name+"."+kern.Name+".", cfg, dev)
-	attachGPUStageProf(o, dev)
 	s := dev.Run()
 	o.Prog().AddTarget(s.WaveInsts)
 	o.Prog().Add(s.WaveInsts)

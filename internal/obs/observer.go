@@ -3,8 +3,6 @@ package obs
 import (
 	"sync"
 	"time"
-
-	"hetcore/internal/prof"
 )
 
 // DefaultSampleInterval is the live-telemetry sampling period in
@@ -25,10 +23,6 @@ type Observer struct {
 	Series   *SeriesSet
 	Events   *EventLog
 
-	// Prof collects sampled host-cost stage attribution (internal/prof).
-	// Nil leaves the stage profilers disarmed.
-	Prof *prof.Collector
-
 	// SampleInterval is the per-interval telemetry period in simulated
 	// cycles (DefaultSampleInterval when 0).
 	SampleInterval uint64
@@ -40,7 +34,7 @@ type Observer struct {
 // Enabled reports whether any endpoint is attached.
 func (o *Observer) Enabled() bool {
 	return o != nil && (o.Metrics != nil || o.Trace != nil || o.Records != nil ||
-		o.Progress != nil || o.Series != nil || o.Events != nil || o.Prof != nil)
+		o.Progress != nil || o.Series != nil || o.Events != nil)
 }
 
 // Reg returns the metrics registry (nil when disabled).
@@ -89,16 +83,6 @@ func (o *Observer) EventSink() *EventLog {
 		return nil
 	}
 	return o.Events
-}
-
-// StageProf returns the host-cost stage collector (nil when disabled;
-// prof's constructors and laps are nil-safe, so callers wire it
-// unconditionally).
-func (o *Observer) StageProf() *prof.Collector {
-	if o == nil {
-		return nil
-	}
-	return o.Prof
 }
 
 // SamplePeriod returns the telemetry sampling period in simulated

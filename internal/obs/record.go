@@ -6,8 +6,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"hetcore/internal/prof"
 )
 
 // SchemaVersion identifies the run-record / report JSON schema.
@@ -159,10 +157,6 @@ type Manifest struct {
 	// (and omitted) when no SoC search ran.
 	SoCConfigsEvaluated  uint64 `json:"soc_configs_evaluated,omitempty"`
 	SoCConfigsOverBudget uint64 `json:"soc_configs_over_budget,omitempty"`
-
-	// StageProfile is the sampled host-cost attribution per simulated
-	// pipeline stage (internal/prof), present when -stage-prof was set.
-	StageProfile []prof.StageCost `json:"stage_profile,omitempty"`
 }
 
 // Report is the -metrics-out payload: manifest, metrics snapshot and the

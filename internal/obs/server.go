@@ -12,8 +12,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"hetcore/internal/prof"
 )
 
 // The embedded dashboard: a single self-contained page (inline CSS/JS,
@@ -51,10 +49,6 @@ type ServerStatus struct {
 	Runtime       RuntimeStats   `json:"runtime"`
 	Progress      ProgressStatus `json:"progress"`
 	Metrics       Snapshot       `json:"metrics"`
-
-	// StageProfile is the sampled host-cost stage attribution so far
-	// (present only when an internal/prof collector is armed).
-	StageProfile []prof.StageCost `json:"stage_profile,omitempty"`
 }
 
 // StartServer listens on addr (host:port; host may be empty, port may be
@@ -152,7 +146,6 @@ func (s *Server) Status() ServerStatus {
 		Progress:      s.obs.Prog().Status(),
 	}
 	st.Metrics = s.obs.Reg().Snapshot()
-	st.StageProfile = s.obs.StageProf().Snapshot().Stages
 	return st
 }
 

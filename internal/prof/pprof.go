@@ -1,3 +1,11 @@
+// Package prof is the host-cost performance-observability layer: a
+// dependency-free decoder for pprof protos, flat and cumulative
+// function rankings over them, and the hetcore.prof/v1 hotspots report
+// schema. Per-stage host cost reads off the cumulative ranking: the
+// simulator's pipeline phases are functions (Core.fillLookahead,
+// dispatch, issue, commit), so their cumulative CPU time comes from the
+// same profile as the flat view and the two views agree by
+// construction.
 package prof
 
 import (
@@ -36,8 +44,10 @@ type Profile struct {
 	SampleTypes []ValueType
 	Samples     []ProfileSample
 
-	// funcName maps location id -> leaf-most function name.
-	funcName map[uint64]string
+	// frames maps location id -> function names of its inlined
+	// frames, leaf-most first ("loc#<id>" for a name the string table
+	// lacks).
+	frames map[uint64][]string
 }
 
 // ParseProfile decodes a pprof proto, gunzipping first when the payload
@@ -104,11 +114,24 @@ func (p *Profile) LabelValues(key string, valueIdx int) map[string]int64 {
 	return out
 }
 
-// FuncCost is one function's flat cost in a top-N report.
+// FuncCost is one function's cost in a top-N report. Flat is the
+// value of samples whose leaf is the function; Cum, filled only by
+// TopCumulative, is the value of samples with the function anywhere on
+// the stack. Share is the ranked value's fraction of the profile total.
 type FuncCost struct {
 	Function string  `json:"function"`
 	Flat     int64   `json:"flat"`
+	Cum      int64   `json:"cum,omitempty"`
 	Share    float64 `json:"share"`
+}
+
+// funcs returns the function names of a location's frames, leaf-most
+// first; a location with no frames is named "loc#<id>".
+func (p *Profile) funcs(loc uint64) []string {
+	if names := p.frames[loc]; len(names) > 0 {
+		return names
+	}
+	return []string{fmt.Sprintf("loc#%d", loc)}
 }
 
 // TopFunctions returns the n largest flat costs by leaf function for one
@@ -129,24 +152,69 @@ func (p *Profile) TopFunctions(valueIdx, n int) []FuncCost {
 		if v == 0 {
 			continue
 		}
-		name := p.funcName[s.LocationIDs[0]]
-		if name == "" {
-			name = fmt.Sprintf("loc#%d", s.LocationIDs[0])
-		}
-		flat[name] += v
+		flat[p.funcs(s.LocationIDs[0])[0]] += v
 		total += v
 	}
 	out := make([]FuncCost, 0, len(flat))
 	for name, v := range flat {
-		fc := FuncCost{Function: name, Flat: v}
-		if total > 0 {
-			fc.Share = float64(v) / float64(total)
-		}
-		out = append(out, fc)
+		out = append(out, FuncCost{Function: name, Flat: v, Share: share(v, total)})
 	}
+	return rank(out, n, func(f FuncCost) int64 { return f.Flat })
+}
+
+// TopCumulative returns the n largest cumulative costs for one value
+// dimension, descending (ties break by name). A sample's value counts
+// once for every distinct function on its stack, inlined frames
+// included, so recursion does not count a function twice and a
+// function's Cum is never below its Flat.
+func (p *Profile) TopCumulative(valueIdx, n int) []FuncCost {
+	if valueIdx < 0 {
+		return nil
+	}
+	flat := map[string]int64{}
+	cum := map[string]int64{}
+	var total int64
+	seen := map[string]bool{}
+	for _, s := range p.Samples {
+		if valueIdx >= len(s.Values) || len(s.LocationIDs) == 0 {
+			continue
+		}
+		v := s.Values[valueIdx]
+		if v == 0 {
+			continue
+		}
+		total += v
+		flat[p.funcs(s.LocationIDs[0])[0]] += v
+		clear(seen)
+		for _, loc := range s.LocationIDs {
+			for _, name := range p.funcs(loc) {
+				if !seen[name] {
+					seen[name] = true
+					cum[name] += v
+				}
+			}
+		}
+	}
+	out := make([]FuncCost, 0, len(cum))
+	for name, v := range cum {
+		out = append(out, FuncCost{Function: name, Flat: flat[name], Cum: v, Share: share(v, total)})
+	}
+	return rank(out, n, func(f FuncCost) int64 { return f.Cum })
+}
+
+func share(v, total int64) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return float64(v) / float64(total)
+}
+
+// rank sorts costs descending by key, ties by name, and keeps the first
+// n (all when n <= 0).
+func rank(out []FuncCost, n int, key func(FuncCost) int64) []FuncCost {
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Flat != out[j].Flat {
-			return out[i].Flat > out[j].Flat
+		if ki, kj := key(out[i]), key(out[j]); ki != kj {
+			return ki > kj
 		}
 		return out[i].Function < out[j].Function
 	})
@@ -196,6 +264,16 @@ func (r *wireReader) field() (int, int, error) {
 	return int(tag >> 3), int(tag & 7), nil
 }
 
+// advance consumes n bytes, bounded by the bytes remaining so that no
+// length, however large, can move the cursor out of the buffer.
+func (r *wireReader) advance(n uint64) error {
+	if n > uint64(len(r.buf)-r.pos) {
+		return fmt.Errorf("prof: truncated field")
+	}
+	r.pos += int(n)
+	return nil
+}
+
 // skip consumes one field of the given wire type.
 func (r *wireReader) skip(wt int) error {
 	switch wt {
@@ -203,22 +281,18 @@ func (r *wireReader) skip(wt int) error {
 		_, err := r.varint()
 		return err
 	case 1: // fixed64
-		r.pos += 8
+		return r.advance(8)
 	case 2: // length-delimited
 		n, err := r.varint()
 		if err != nil {
 			return err
 		}
-		r.pos += int(n)
+		return r.advance(n)
 	case 5: // fixed32
-		r.pos += 4
+		return r.advance(4)
 	default:
 		return fmt.Errorf("prof: unsupported wire type %d", wt)
 	}
-	if r.pos > len(r.buf) {
-		return fmt.Errorf("prof: truncated field")
-	}
-	return nil
 }
 
 // bytesField reads one length-delimited payload.
@@ -227,13 +301,11 @@ func (r *wireReader) bytesField() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	end := r.pos + int(n)
-	if end > len(r.buf) || end < r.pos {
-		return nil, fmt.Errorf("prof: truncated bytes field")
+	start := r.pos
+	if err := r.advance(n); err != nil {
+		return nil, err
 	}
-	b := r.buf[r.pos:end]
-	r.pos = end
-	return b, nil
+	return r.buf[start:r.pos], nil
 }
 
 // uints reads a repeated uint64 field: either one packed payload (wire
@@ -289,7 +361,7 @@ const (
 )
 
 func parseProfileProto(data []byte) (*Profile, error) {
-	p := &Profile{funcName: map[uint64]string{}}
+	p := &Profile{frames: map[uint64][]string{}}
 	var strtab []string
 	type rawVT struct{ typ, unit uint64 }
 	type rawLabel struct{ key, str uint64 }
@@ -300,8 +372,8 @@ func parseProfileProto(data []byte) (*Profile, error) {
 	}
 	var vts []rawVT
 	var samples []rawSample
-	locFunc := map[uint64]uint64{}   // location id -> leaf function id
-	funcNames := map[uint64]uint64{} // function id -> name string index
+	locFuncs := map[uint64][]uint64{} // location id -> function ids, leaf first
+	funcNames := map[uint64]uint64{}  // function id -> name string index
 
 	r := wireReader{buf: data}
 	for !r.done() {
@@ -396,8 +468,8 @@ func parseProfileProto(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			var id, fn uint64
-			haveLine := false
+			var id uint64
+			var fns []uint64
 			mr := wireReader{buf: b}
 			for !mr.done() {
 				n, w, err := mr.field()
@@ -410,8 +482,9 @@ func parseProfileProto(data []byte) (*Profile, error) {
 				case locLine:
 					var lb []byte
 					lb, err = mr.bytesField()
-					if err == nil && !haveLine {
-						// Line[0] is the leaf-most (inlined) frame.
+					if err == nil {
+						// Lines run from the leaf-most inlined frame
+						// out to the physical caller.
 						lr := wireReader{buf: lb}
 						for !lr.done() {
 							ln, lw, lerr := lr.field()
@@ -419,8 +492,9 @@ func parseProfileProto(data []byte) (*Profile, error) {
 								return nil, lerr
 							}
 							if ln == lineFunctionID {
+								var fn uint64
 								fn, lerr = lr.varint()
-								haveLine = true
+								fns = append(fns, fn)
 							} else {
 								lerr = lr.skip(lw)
 							}
@@ -436,8 +510,8 @@ func parseProfileProto(data []byte) (*Profile, error) {
 					return nil, err
 				}
 			}
-			if haveLine {
-				locFunc[id] = fn
+			if len(fns) > 0 {
+				locFuncs[id] = fns
 			}
 		case profFunction:
 			b, err := r.bytesField()
@@ -472,7 +546,7 @@ func parseProfileProto(data []byte) (*Profile, error) {
 	}
 
 	str := func(i uint64) string {
-		if int(i) < len(strtab) {
+		if i < uint64(len(strtab)) {
 			return strtab[i]
 		}
 		return ""
@@ -480,8 +554,14 @@ func parseProfileProto(data []byte) (*Profile, error) {
 	for _, vt := range vts {
 		p.SampleTypes = append(p.SampleTypes, ValueType{Type: str(vt.typ), Unit: str(vt.unit)})
 	}
-	for loc, fn := range locFunc {
-		p.funcName[loc] = str(funcNames[fn])
+	for loc, fns := range locFuncs {
+		names := make([]string, len(fns))
+		for i, fn := range fns {
+			if names[i] = str(funcNames[fn]); names[i] == "" {
+				names[i] = fmt.Sprintf("loc#%d", loc)
+			}
+		}
+		p.frames[loc] = names
 	}
 	for _, rs := range samples {
 		s := ProfileSample{LocationIDs: rs.locs}

@@ -2,7 +2,9 @@ package prof
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"io"
 	"runtime"
 	"runtime/pprof"
 	"testing"
@@ -25,7 +27,7 @@ func spin(d time.Duration) uint64 {
 
 // collectCPUProfile runs fn under the runtime CPU profiler and returns
 // the raw proto bytes.
-func collectCPUProfile(t *testing.T, fn func()) []byte {
+func collectCPUProfile(t testing.TB, fn func()) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := pprof.StartCPUProfile(&buf); err != nil {
@@ -79,6 +81,80 @@ func TestParseCPUProfile(t *testing.T) {
 	}
 	if !found {
 		t.Logf("spin not in top 10 (flaky on loaded hosts): %+v", top)
+	}
+
+	// Every flat entry reappears in the full cumulative ranking with a
+	// cum at least its flat, and the root frames carry the whole total.
+	cum := map[string]int64{}
+	all := p.TopCumulative(idx, 0)
+	for _, fc := range all {
+		cum[fc.Function] = fc.Cum
+	}
+	for _, fc := range top {
+		if cum[fc.Function] < fc.Flat {
+			t.Errorf("%s: cum %d < flat %d", fc.Function, cum[fc.Function], fc.Flat)
+		}
+	}
+	if all[0].Share > 1.0001 {
+		t.Errorf("top cumulative share = %v, want <= 1", all[0].Share)
+	}
+}
+
+// TestTopCumulative: on a hand-built profile, a sample counts once per
+// distinct function on its stack (recursion and inlined frames
+// included), a function's cum is at least its flat, and ties break by
+// name.
+func TestTopCumulative(t *testing.T) {
+	p := &Profile{
+		SampleTypes: []ValueType{{Type: "cpu", Unit: "nanoseconds"}},
+		frames: map[uint64][]string{
+			1: {"leaf"},
+			3: {"rec"},
+			4: {"root"},
+			5: {"inl", "outer"}, // inl is inlined into outer
+		},
+		Samples: []ProfileSample{
+			{LocationIDs: []uint64{1, 3, 3, 4}, Values: []int64{10}},
+			{LocationIDs: []uint64{3, 4}, Values: []int64{5}},
+			{LocationIDs: []uint64{5, 4}, Values: []int64{2}},
+			{LocationIDs: []uint64{1, 4}, Values: []int64{0}},
+			{LocationIDs: []uint64{9}, Values: []int64{3}}, // unnamed location
+		},
+	}
+	got := p.TopCumulative(0, 0)
+	want := []FuncCost{
+		{Function: "root", Flat: 0, Cum: 17},
+		{Function: "rec", Flat: 5, Cum: 15},
+		{Function: "leaf", Flat: 10, Cum: 10},
+		{Function: "loc#9", Flat: 3, Cum: 3},
+		{Function: "inl", Flat: 2, Cum: 2},
+		{Function: "outer", Flat: 0, Cum: 2},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Function != w.Function || g.Flat != w.Flat || g.Cum != w.Cum {
+			t.Errorf("entry %d = %+v, want %s flat %d cum %d", i, g, w.Function, w.Flat, w.Cum)
+		}
+		if g.Cum < g.Flat {
+			t.Errorf("%s: cum %d < flat %d", g.Function, g.Cum, g.Flat)
+		}
+		if wantShare := float64(w.Cum) / 20; g.Share != wantShare {
+			t.Errorf("%s share = %v, want %v", g.Function, g.Share, wantShare)
+		}
+	}
+	if top := p.TopCumulative(0, 2); len(top) != 2 || top[1].Function != "rec" {
+		t.Errorf("TopCumulative(0, 2) = %+v, want root and rec", top)
+	}
+	if got := p.TopCumulative(-1, 10); got != nil {
+		t.Errorf("TopCumulative(-1) = %+v, want nil", got)
+	}
+	// The flat ranking of the same profile charges only leaves.
+	flat := p.TopFunctions(0, 0)
+	if flat[0].Function != "leaf" || flat[0].Flat != 10 || flat[0].Cum != 0 {
+		t.Errorf("flat top = %+v, want leaf with flat 10 and no cum", flat[0])
 	}
 }
 
@@ -146,6 +222,12 @@ func TestParseProfileRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("not a profile"),
 		{0x1f, 0x8b, 0xff, 0xff}, // gzip magic, corrupt stream
+		// Field 8, length-delimited, with a length near 2^63.
+		[]byte("B\x80\xa0\x80\xfb\xff\xff\xff\xff\xff1"),
+		// A sample type whose fixed64 field runs past the end.
+		{0x0a, 0x02, 0x19, 0x01},
+		// A sample whose packed location ids claim more bytes than exist.
+		{0x12, 0x03, 0x0a, 0x7f, 0x01},
 	} {
 		if _, err := ParseProfile(raw); err == nil {
 			t.Errorf("ParseProfile(%q) accepted garbage", raw)
@@ -165,4 +247,44 @@ func TestValueIndexMissing(t *testing.T) {
 	if got := p.TopFunctions(-1, 10); got != nil {
 		t.Errorf("TopFunctions(-1) = %+v, want nil", got)
 	}
+}
+
+// FuzzParseProfile: for any input the decoder returns an error or a
+// profile, never panics, and whatever it returns ranks cleanly.
+func FuzzParseProfile(f *testing.F) {
+	runtime.GC()
+	var heap bytes.Buffer
+	if err := pprof.WriteHeapProfile(&heap); err != nil {
+		f.Fatal(err)
+	}
+	// Seed each real profile both gzipped, as the runtime writes it,
+	// and raw, so mutations reach the proto decoder rather than dying
+	// in the gzip checksum.
+	for _, gz := range [][]byte{
+		collectCPUProfile(f, func() { spin(50 * time.Millisecond) }),
+		heap.Bytes(),
+	} {
+		f.Add(gz)
+		zr, err := gzip.NewReader(bytes.NewReader(gz))
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := io.ReadAll(zr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte("not a profile"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseProfile(data)
+		if err != nil {
+			return
+		}
+		for i := range p.SampleTypes {
+			p.TopFunctions(i, 5)
+			p.TopCumulative(i, 5)
+			p.LabelValues("workload", i)
+		}
+	})
 }

@@ -9,9 +9,10 @@ import (
 const SchemaVersion = "hetcore.prof/v1"
 
 // Report is the `hetcore hotspots` output: one workload run under CPU
-// and heap profile, with host cost attributed three ways — by simulated
-// pipeline stage (the in-sim sampler), by hottest function (CPU
-// profile), and by allocation site (heap profile).
+// and heap profile, with host cost attributed three ways, all read off
+// the pprof protos — by cumulative CPU time (which carries the
+// per-stage view: Core.step and the phases it calls), by flat CPU time
+// (hottest leaf functions), and by allocation site.
 type Report struct {
 	Schema       string  `json:"schema"`
 	GoVersion    string  `json:"go_version"`
@@ -21,14 +22,12 @@ type Report struct {
 	Instructions uint64  `json:"instructions"`
 	WallSeconds  float64 `json:"wall_seconds"`
 
-	// StageAttribution is the in-sim sampler's view (shares sum to 1
-	// per device group).
-	StageAttribution []StageCost `json:"stage_attribution"`
-
-	// CPUTop and HeapTop are flat top-N function costs from the pprof
-	// protos: CPU nanoseconds and alloc_space bytes respectively.
-	CPUTop  []FuncCost `json:"cpu_top,omitempty"`
-	HeapTop []FuncCost `json:"heap_top,omitempty"`
+	// CPUCumTop is the top-N function costs by cumulative CPU
+	// nanoseconds; CPUTop and HeapTop are the flat top-N by CPU
+	// nanoseconds and by alloc_space bytes.
+	CPUCumTop []FuncCost `json:"cpu_cum_top,omitempty"`
+	CPUTop    []FuncCost `json:"cpu_top,omitempty"`
+	HeapTop   []FuncCost `json:"heap_top,omitempty"`
 }
 
 // Format renders the report as a human-readable table set.
@@ -37,17 +36,7 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "hotspots: %s %s %s (%d instructions, %.3fs)\n",
 		r.Device, r.Config, r.Workload, r.Instructions, r.WallSeconds)
 
-	if len(r.StageAttribution) > 0 {
-		b.WriteString("\nStage attribution (sampled host cost per simulated stage)\n")
-		fmt.Fprintf(&b, "  %-12s %10s %8s %12s %9s\n",
-			"stage", "wall_ms", "share", "alloc_bytes", "samples")
-		for _, s := range r.StageAttribution {
-			fmt.Fprintf(&b, "  %-12s %10.2f %7.1f%% %12d %9d\n",
-				s.Stage, float64(s.WallNS)/1e6, s.Share*100, s.AllocBytes, s.Samples)
-		}
-	}
-
-	writeTop := func(title, unit string, top []FuncCost, scale float64) {
+	writeTop := func(title, unit string, top []FuncCost, scale float64, cum bool) {
 		if len(top) == 0 {
 			return
 		}
@@ -58,11 +47,16 @@ func (r *Report) Format() string {
 			if len(name) > 56 {
 				name = "..." + name[len(name)-53:]
 			}
+			v := f.Flat
+			if cum {
+				v = f.Cum
+			}
 			fmt.Fprintf(&b, "  %-56s %12.2f %7.1f%%\n",
-				name, float64(f.Flat)/scale, f.Share*100)
+				name, float64(v)/scale, f.Share*100)
 		}
 	}
-	writeTop("Top functions by CPU time (pprof flat)", "cpu_ms", r.CPUTop, 1e6)
-	writeTop("Top functions by allocation (pprof alloc_space)", "alloc_kb", r.HeapTop, 1024)
+	writeTop("Top functions by CPU time (pprof cumulative)", "cum_ms", r.CPUCumTop, 1e6, true)
+	writeTop("Top functions by CPU time (pprof flat)", "cpu_ms", r.CPUTop, 1e6, false)
+	writeTop("Top functions by allocation (pprof alloc_space)", "alloc_kb", r.HeapTop, 1024, false)
 	return b.String()
 }

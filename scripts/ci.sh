@@ -64,13 +64,16 @@ cp scripts/baseline/BENCH_history.jsonl "$tmp/BENCH_history.jsonl"
 "$tmp/hetcore" diff -rate-tol 75 scripts/baseline/BENCH_sim_rate.json "$tmp/BENCH_sim_rate.json"
 
 echo "== hotspots gate (hetcore hotspots) =="
-# A tiny workload under the stage profiler and pprof must yield a
-# schema-stamped report with a populated stage attribution. The share
-# arithmetic (sums to 1 per device group) is pinned by go tests; this
-# gate proves the end-to-end CLI path on a real profile.
+# A tiny workload under pprof must yield a schema-stamped report whose
+# cumulative table names the core's cycle loop, so the per-stage view
+# (Core.step and the phases it calls) reads off a real profile. An empty
+# or missing CPU profile omits the table and fails the gate. The ranking
+# arithmetic (recursion counted once, cum >= flat) is pinned by go
+# tests; this gate proves the end-to-end CLI path.
 "$tmp/hetcore" hotspots -instr 150000 -json -o "$tmp/hotspots.json" >/dev/null
-for want in '"schema": "hetcore.prof/v1"' '"stage_attribution"' '"stage": "cpu.execute"'; do
-    if ! grep -q "$want" "$tmp/hotspots.json"; then
+for want in '"schema": "hetcore.prof/v1"' '"cpu_cum_top"' \
+    '"function": "hetcore/internal/cpu.(*Core).step"'; do
+    if ! grep -qF "$want" "$tmp/hotspots.json"; then
         echo "hotspots report missing $want:" >&2
         cat "$tmp/hotspots.json" >&2
         exit 1
