@@ -180,6 +180,11 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 // every wire request).
 func (p *Pool) TraceID() string { return p.traceID }
 
+// Capacity returns how many jobs the pool runs remotely at once: its
+// slots, SlotsPerWorker for each worker. The engine's RunAll adds it to
+// the local lanes so every slot can be busy.
+func (p *Pool) Capacity() int { return cap(p.slots) }
+
 // Healthy returns the number of workers currently accepting jobs.
 func (p *Pool) Healthy() int {
 	n := 0

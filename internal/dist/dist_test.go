@@ -336,6 +336,10 @@ func TestPoolAgainstDaemon(t *testing.T) {
 	if p.Healthy() != 1 {
 		t.Fatalf("Healthy = %d, want 1", p.Healthy())
 	}
+	// RunAll sizes its workers by this: one worker's default slots.
+	if p.Capacity() != 4 {
+		t.Errorf("Capacity = %d, want 4", p.Capacity())
+	}
 
 	e := engine.New(2, nil)
 	e.SetExecutor(p)

@@ -7,6 +7,13 @@
 // side) therefore share one underlying suite instead of re-simulating it
 // per figure.
 //
+// A job must not call back into its engine. Such a call fails fast where
+// it could block: when it needs a local lane, when it would wait on a key
+// still being computed, and on every RunAll. Only those paths identify
+// the calling goroutine; a finished memory entry, a second-level cache
+// hit or a remote execution is served without that check, since none of
+// them can deadlock the lane pool.
+//
 // Determinism contract: a job function must be a pure function of its
 // key — it builds all mutable simulation state (cores, hierarchies,
 // RNGs) itself and only writes shared state through the mutex-guarded
@@ -150,15 +157,25 @@ type Cache interface {
 // is the job's own deterministic error (infrastructure failures must be
 // retried or converted to a decline inside the executor, never surfaced
 // here, because the engine caches errors as final results).
+//
+// An executor that serves a bounded number of Execute calls at once may
+// also implement Capacity() int, returning that bound. RunAll then runs
+// that many workers beyond the local lanes, so every remote slot can be
+// busy while the local lanes are; without it RunAll sizes to the local
+// lanes alone.
 type Executor interface {
 	Execute(Key) (val any, handled bool, err error)
 }
 
-// entry is one cache slot: done closes when val/err are final.
+// entry is one cache slot: done closes when val/err are final, or when
+// the owner abandoned the key (a nested call rejected before it
+// computed anything). An abandoned entry is already out of the map, so
+// its waiters look the key up again.
 type entry struct {
-	done chan struct{}
-	val  any
-	err  error
+	done      chan struct{}
+	val       any
+	err       error
+	abandoned bool
 }
 
 // Engine is a worker pool plus a memoizing result cache. The zero value
@@ -174,7 +191,7 @@ type Engine struct {
 
 	mu      sync.Mutex
 	entries map[Key]*entry
-	inJob   map[uint64]struct{} // goroutine ids currently running a job
+	inJob   map[uint64]struct{} // goroutine ids holding or waiting for a local lane
 
 	jobsRun    atomic.Uint64
 	cacheHits  atomic.Uint64
@@ -247,8 +264,9 @@ func (e *Engine) InFlight() int64 { return e.inFlight.Load() }
 
 // gid returns the current goroutine's id, parsed from the
 // "goroutine N [state]:" header of its stack trace. It is the only
-// portable way to identify a goroutine and is cheap enough for the
-// once-per-job guard below (one small Stack call).
+// portable way to identify a goroutine, but runtime.Stack takes the
+// runtime's print lock, so only the paths that can block call it (see
+// the package comment).
 func gid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
@@ -273,16 +291,41 @@ func (e *Engine) holdsLane() bool {
 	return ok
 }
 
-// markLane records or clears the calling goroutine as running a job.
-func (e *Engine) markLane(held bool) {
+// nestedErr is the fail-fast error for a call from inside a job.
+func nestedErr(call string) error {
+	return fmt.Errorf("engine: nested %s from inside a running job; jobs must not call back into their engine (would deadlock the lane pool)", call)
+}
+
+// onLane runs fn on a free local lane and reports how long the lane took
+// to come free. The calling goroutine is marked as running a job from
+// before it queues until it returns the lane; this is the only place the
+// marker is set or cleared. A caller that is already marked — a job
+// calling back into its engine — gets ok=false at once: it would wait
+// for a lane it may itself be holding.
+func (e *Engine) onLane(fn func(lane int)) (queued time.Duration, ok bool) {
 	id := gid()
 	e.mu.Lock()
-	if held {
+	_, nested := e.inJob[id]
+	if !nested {
 		e.inJob[id] = struct{}{}
-	} else {
-		delete(e.inJob, id)
 	}
 	e.mu.Unlock()
+	if nested {
+		return 0, false
+	}
+	e.queued.Add(1)
+	queueStart := time.Now()
+	lane := <-e.lanes
+	queued = time.Since(queueStart)
+	e.queued.Add(-1)
+	e.inFlight.Add(1)
+	fn(lane)
+	e.inFlight.Add(-1)
+	e.lanes <- lane
+	e.mu.Lock()
+	delete(e.inJob, id)
+	e.mu.Unlock()
+	return queued, true
 }
 
 // Do returns the memoized result for key, executing fn at most once per
@@ -292,8 +335,10 @@ func (e *Engine) markLane(held bool) {
 // the same key block until it completes and then share its result
 // (errors are cached too — the simulators are deterministic, so
 // retrying cannot succeed). fn must not call back into the same engine:
-// nested jobs could exhaust the lane pool. Such calls are detected via
-// a lane-held goroutine marker and fail fast instead of deadlocking.
+// nested jobs could exhaust the lane pool. A nested call fails fast
+// where it would block — when it needs a local lane or would wait on an
+// unfinished key — and a key it was rejected on is not memoized, so a
+// later call from outside a job runs it normally.
 func (e *Engine) Do(key Key, fn func() (any, error)) (any, error) {
 	v, _, err := e.DoTimed(key, fn)
 	return v, err
@@ -305,20 +350,34 @@ func (e *Engine) Do(key Key, fn func() (any, error)) (any, error) {
 // server-side timing breakdown per wire request; Do discards it.
 func (e *Engine) DoTimed(key Key, fn func() (any, error)) (any, JobTiming, error) {
 	var tm JobTiming
-	if e.holdsLane() {
-		return nil, tm, fmt.Errorf("engine: nested Do(%s) from inside a running job; jobs must not call back into their engine (would deadlock the lane pool)", key)
-	}
 	e.mu.Lock()
-	if ent, ok := e.entries[key]; ok {
-		e.mu.Unlock()
-		waitStart := time.Now()
-		<-ent.done
-		tm.Source, tm.QueueMS = "memory", ms(time.Since(waitStart))
-		e.cacheHits.Add(1)
-		if reg := e.obs.Reg(); reg != nil {
-			reg.Counter("engine.cache_hits").Inc()
+	for {
+		ent, ok := e.entries[key]
+		if !ok {
+			break
 		}
-		return ent.val, tm, ent.err
+		e.mu.Unlock()
+		select {
+		case <-ent.done:
+		default:
+			// A job waiting here could be waiting on itself, or on a
+			// key that needs the lane it holds.
+			if e.holdsLane() {
+				return nil, tm, nestedErr(fmt.Sprintf("Do(%s)", key))
+			}
+			waitStart := time.Now()
+			<-ent.done
+			tm.QueueMS += ms(time.Since(waitStart))
+		}
+		if !ent.abandoned {
+			tm.Source = "memory"
+			e.cacheHits.Add(1)
+			if reg := e.obs.Reg(); reg != nil {
+				reg.Counter("engine.cache_hits").Inc()
+			}
+			return ent.val, tm, ent.err
+		}
+		e.mu.Lock()
 	}
 	ent := &entry{done: make(chan struct{})}
 	e.entries[key] = ent
@@ -362,27 +421,32 @@ func (e *Engine) DoTimed(key Key, fn func() (any, error)) (any, JobTiming, error
 		}
 	}
 
-	e.queued.Add(1)
-	queueStart := time.Now()
-	lane := <-e.lanes
-	tm.QueueMS = ms(time.Since(queueStart))
-	e.queued.Add(-1)
-	e.inFlight.Add(1)
-	e.markLane(true)
-	wallStart := time.Now()
-	// Label the job's goroutine for CPU profiling: a pprof capture (e.g.
-	// hetserved's /debug/pprof/profile) attributes every sample taken
-	// during the run to its device/config/workload.
-	pprof.Do(context.Background(), pprof.Labels(
-		"device", key.Device, "config", key.Config, "workload", key.Workload),
-		func(context.Context) {
-			ent.val, ent.err = fn()
-		})
-	wallDur := time.Since(wallStart)
-	tm.Source, tm.ExecMS = "run", ms(wallDur)
-	e.markLane(false)
-	e.inFlight.Add(-1)
-	e.lanes <- lane
+	var lane int
+	var wallStart time.Time
+	var wallDur time.Duration
+	queued, ok := e.onLane(func(l int) {
+		lane, wallStart = l, time.Now()
+		// Label the job's goroutine for CPU profiling: a pprof capture
+		// (e.g. hetserved's /debug/pprof/profile) attributes every
+		// sample taken during the run to its device/config/workload.
+		pprof.Do(context.Background(), pprof.Labels(
+			"device", key.Device, "config", key.Config, "workload", key.Workload),
+			func(context.Context) {
+				ent.val, ent.err = fn()
+			})
+		wallDur = time.Since(wallStart)
+	})
+	if !ok {
+		// Nothing was computed: take the key back out of the map so the
+		// rejection is not memoized, and send its waiters to look again.
+		e.mu.Lock()
+		delete(e.entries, key)
+		e.mu.Unlock()
+		ent.abandoned = true
+		close(ent.done)
+		return nil, tm, nestedErr(fmt.Sprintf("Do(%s)", key))
+	}
+	tm.Source, tm.QueueMS, tm.ExecMS = "run", ms(queued), ms(wallDur)
 	close(ent.done)
 	if e.cache != nil && ent.err == nil {
 		e.cache.Put(key, ent.val)
@@ -412,26 +476,40 @@ func (e *Engine) DoTimed(key Key, fn func() (any, error)) (any, JobTiming, error
 	return ent.val, tm, ent.err
 }
 
-// RunAll executes a plan: every job runs concurrently on the worker
-// pool (memoized through Do) and the results come back in job order.
-// On failure the error of the lowest-indexed failing job is returned,
-// so the reported error does not depend on scheduling. Like Do, RunAll
-// must not be called from inside a job of the same engine — the plan's
-// jobs would wait for lanes the caller's job is holding.
+// RunAll executes a plan: a fixed set of workers pulls the jobs in plan
+// order and serves each through Do, and the results come back in job
+// order. There are Workers() workers, plus the executor's Capacity()
+// when one is attached, so local lanes and remote slots can all be busy
+// at once; the calling goroutine is one of them. On failure the error
+// of the lowest-indexed failing job is returned, so the reported error
+// does not depend on scheduling. Like Do, RunAll must not be called from
+// inside a job of the same engine — the plan's jobs would wait for lanes
+// the caller's job is holding — and such a call fails fast.
 func (e *Engine) RunAll(jobs []Job) ([]any, error) {
 	if e.holdsLane() {
-		return nil, fmt.Errorf("engine: nested RunAll(%d jobs) from inside a running job; jobs must not call back into their engine (would deadlock the lane pool)", len(jobs))
+		return nil, nestedErr(fmt.Sprintf("RunAll(%d jobs)", len(jobs)))
 	}
 	out := make([]any, len(jobs))
 	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
 			out[i], errs[i] = e.Do(jobs[i].Key, jobs[i].Run)
-		}(i)
+		}
 	}
+	workers := e.Workers()
+	if c, ok := e.exec.(interface{ Capacity() int }); ok {
+		workers += c.Capacity()
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

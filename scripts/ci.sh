@@ -100,6 +100,15 @@ if ! grep -q '"engine_jobs_run": 0' "$tmp/all-warm.json"; then
     grep '"engine_' "$tmp/all-warm.json" >&2
     exit 1
 fi
+# The plan's workers pull jobs in order at any width; the printed bytes
+# must not depend on it. Warm, each run takes about half a second.
+for j in 1 8; do
+    "$tmp/hetcore" all -seed 1 -jobs "$j" -cache-dir "$tmp/all-cache" >"$tmp/all-warm-j$j.txt"
+    cmp results_full.txt "$tmp/all-warm-j$j.txt" || {
+        echo "cached hetcore all at -jobs $j differs from results_full.txt" >&2
+        exit 1
+    }
+done
 
 echo "== dist gate (persistent cache + hetserved) =="
 # End-to-end check of internal/dist: run the same experiment twice
