@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 
@@ -9,33 +8,31 @@ import (
 	"hetcore/internal/obs"
 )
 
-// DiskCache is the persistent content-addressed result cache: one JSON
-// file per engine key under dir, named by the key's SHA-256 and fanned
-// out over 256 subdirectories. It implements engine.Cache, so repeated
-// CLI invocations (and the CI suite) skip already-simulated points
-// entirely.
+// DiskCache is the persistent content-addressed result cache: one file
+// per engine key under dir, named by the key's SHA-256 and fanned out
+// over 256 subdirectories. It implements engine.Cache, so repeated CLI
+// invocations (and the CI suite) skip already-simulated points entirely.
+//
+// Each entry is a binary header followed by the codec payload:
+//
+//	varint len, stamp   CacheVersion + device-table stamp; anything else
+//	                    is stale
+//	varint len, key     the rendered engine key, both for debuggability
+//	                    and as a guard: a hash filename collision (or a
+//	                    copied file) parses but fails the key comparison
+//	                    and misses
+//	varint len, type    the registered result name
+//	payload             EncodeResult's bytes, to the end of the file
 //
 // Robustness contract: a corrupt, truncated, stale-stamped or
-// foreign-typed entry is a miss — the job recomputes and overwrites it —
-// never an error. Writes go through a temp file plus rename, so a
-// killed process can leave at worst an ignored *.tmp, not a torn entry.
+// foreign-typed entry — an entry of an older JSON generation included —
+// is a miss (the job recomputes and overwrites it), never an error.
+// Writes go through a temp file plus rename, so a killed process can
+// leave at worst an ignored *.tmp, not a torn entry.
 type DiskCache struct {
 	dir   string
 	stamp string
 	o     *obs.Observer
-}
-
-// cacheEntry is the on-disk envelope around an encoded result.
-type cacheEntry struct {
-	// Stamp is the CacheVersion + device-table stamp the entry was
-	// written under; anything else is stale.
-	Stamp string `json:"stamp"`
-	// Key is the rendered engine key, both for debuggability and as a
-	// guard: a hash filename collision (or a copied file) decodes but
-	// fails the key comparison and misses.
-	Key    string          `json:"key"`
-	Type   string          `json:"type"`
-	Result json.RawMessage `json:"result"`
 }
 
 // OpenCache opens (creating if needed) a persistent result cache rooted
@@ -56,8 +53,10 @@ func (c *DiskCache) count(name string) {
 	}
 }
 
-// path returns the entry file for a key: dir/<hh>/<ash>.json with hh
-// the first hash byte, keeping directories small for big sweeps.
+// path returns the entry file for a key: dir/<hh>/<hash>.json with hh
+// the first hash byte, keeping directories small for big sweeps. The
+// suffix predates the binary format and is kept so tools that count
+// entries by it keep working.
 func (c *DiskCache) path(k engine.Key) string {
 	h := k.Hash()
 	return filepath.Join(c.dir, h[:2], h[2:]+".json")
@@ -70,20 +69,20 @@ func (c *DiskCache) Get(k engine.Key) (any, bool) {
 		c.count("dist.cache_disk_misses")
 		return nil, false
 	}
-	var ent cacheEntry
-	if err := json.Unmarshal(raw, &ent); err != nil {
+	stamp, key, typeName, payload, err := splitEntry(raw)
+	if err != nil {
 		c.count("dist.cache_disk_corrupt")
 		return nil, false
 	}
-	if ent.Stamp != c.stamp {
+	if string(stamp) != c.stamp {
 		c.count("dist.cache_disk_stale")
 		return nil, false
 	}
-	if ent.Key != k.String() {
+	if string(key) != k.String() {
 		c.count("dist.cache_disk_corrupt")
 		return nil, false
 	}
-	v, err := DecodeResult(ent.Type, ent.Result)
+	v, err := DecodeResult(string(typeName), payload)
 	if err != nil {
 		c.count("dist.cache_disk_corrupt")
 		return nil, false
@@ -96,18 +95,12 @@ func (c *DiskCache) Get(k engine.Key) (any, bool) {
 // are recorded as counters and otherwise ignored: the cache is an
 // accelerator, never a correctness dependency.
 func (c *DiskCache) Put(k engine.Key, v any) {
-	typeName, data, err := EncodeResult(v)
+	rc, err := codecFor(v)
 	if err != nil {
 		c.count("dist.cache_disk_unencodable")
 		return
 	}
-	raw, err := json.Marshal(cacheEntry{
-		Stamp: c.stamp, Key: k.String(), Type: typeName, Result: data,
-	})
-	if err != nil {
-		c.count("dist.cache_disk_errors")
-		return
-	}
+	raw := rc.encode(appendEntryHeader(nil, c.stamp, k.String(), rc.name), v)
 	path := c.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		c.count("dist.cache_disk_errors")
@@ -135,4 +128,22 @@ func (c *DiskCache) Put(k engine.Key, v any) {
 		return
 	}
 	c.count("dist.cache_disk_writes")
+}
+
+// appendEntryHeader appends an entry's header: stamp, key and type
+// name, each varint-length-prefixed.
+func appendEntryHeader(b []byte, stamp, key, typeName string) []byte {
+	return appendPrefixed(appendPrefixed(appendPrefixed(b, stamp), key), typeName)
+}
+
+// splitEntry parses an entry written by appendEntryHeader plus a
+// payload.
+func splitEntry(raw []byte) (stamp, key, typeName, payload []byte, err error) {
+	d := decoder{b: raw}
+	for _, f := range [...]*[]byte{&stamp, &key, &typeName} {
+		if *f, err = d.prefixed(); err != nil {
+			return nil, nil, nil, nil, err
+		}
+	}
+	return stamp, key, typeName, d.b, nil
 }

@@ -23,9 +23,9 @@
 //     execution.
 //
 // Determinism: the simulators are pure functions of their keys and the
-// JSON codec round-trips every result field exactly (Go prints float64
-// shortest-round-trip), so a result is byte-for-byte the same whether it
-// came from a local run, the disk cache or a remote worker. Only keys a
+// binary result codec round-trips every result field exactly (floats
+// travel as their IEEE-754 bits), so a result is byte-for-byte the same
+// whether it came from a local run, the disk cache or a remote worker. Only keys a
 // Resolver can reconstruct from their fields run remotely; variant keys
 // that carry out-of-band config mutations (sweeps, DVFS points) always
 // execute locally but still cache to disk.

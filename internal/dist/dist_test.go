@@ -110,8 +110,16 @@ func TestDiskCache(t *testing.T) {
 
 	path := c.path(k)
 
-	// Corrupt entry (truncated JSON): miss, then recoverable by Put.
-	if err := os.WriteFile(path, []byte(`{"stamp":"`), 0o644); err != nil {
+	// Corrupt entry (a torn header): miss, then recoverable by Put.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp, _, _, payload, err := splitEntry(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(stamp)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(k); ok {
@@ -122,44 +130,46 @@ func TestDiskCache(t *testing.T) {
 		t.Error("cache did not recover after overwriting a corrupt entry")
 	}
 
-	// Stale stamp: miss.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ent cacheEntry
-	if err := json.Unmarshal(raw, &ent); err != nil {
-		t.Fatal(err)
-	}
-	ent.Stamp = "hetcore.dist/v0+000000000000"
-	stale, _ := json.Marshal(ent)
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Error("stale-stamped entry reported a hit")
-	}
-
-	// Key mismatch (copied or hash-colliding file): miss.
-	ent.Stamp = Stamp()
-	ent.Key = "cpu/OtherConfig/barnes/s1/i20000"
-	wrong, _ := json.Marshal(ent)
-	if err := os.WriteFile(path, wrong, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Error("key-mismatched entry reported a hit")
+	// Each of these rewrites of the entry is a miss.
+	for _, tc := range []struct {
+		name, stamp, key, typ string
+		payload               []byte
+	}{
+		{"stale-stamped", "hetcore.dist/v0+000000000000", k.String(), "hetsim.CPUResult", payload},
+		// A copied or hash-colliding file.
+		{"key-mismatched", Stamp(), "cpu/OtherConfig/barnes/s1/i20000", "hetsim.CPUResult", payload},
+		{"foreign-typed", Stamp(), k.String(), "no.SuchType", payload},
+		{"truncated-payload", Stamp(), k.String(), "hetsim.CPUResult", payload[:len(payload)-1]},
+		{"trailing-bytes", Stamp(), k.String(), "hetsim.CPUResult", append(payload[:len(payload):len(payload)], 0)},
+	} {
+		ent := append(appendEntryHeader(nil, tc.stamp, tc.key, tc.typ), tc.payload...)
+		if err := os.WriteFile(path, ent, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(k); ok {
+			t.Errorf("%s entry reported a hit", tc.name)
+		}
 	}
 
-	// Unknown result type: miss.
-	ent.Key = k.String()
-	ent.Type = "no.SuchType"
-	foreign, _ := json.Marshal(ent)
-	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+	// A v6 entry (the JSON envelope this format replaced) at the key's
+	// path is a counted miss, and the next Put overwrites it.
+	before := o.Reg().Snapshot().Counters
+	v6 := `{"stamp":"hetcore.dist/v6+` + DeviceTableHash() + `","key":"` + k.String() +
+		`","type":"hetsim.CPUResult","result":{"Config":"BaseCMOS","Cores":4}}`
+	if err := os.WriteFile(path, []byte(v6), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(k); ok {
-		t.Error("foreign-typed entry reported a hit")
+		t.Error("v6 JSON entry reported a hit")
+	}
+	after := o.Reg().Snapshot().Counters
+	if after["dist.cache_disk_corrupt"]+after["dist.cache_disk_stale"] !=
+		before["dist.cache_disk_corrupt"]+before["dist.cache_disk_stale"]+1 {
+		t.Errorf("v6 JSON entry not counted as one corrupt or stale miss: %v -> %v", before, after)
+	}
+	c.Put(k, want)
+	if got, ok := c.Get(k); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("Put did not overwrite the v6 entry: Get = %+v, %v", got, ok)
 	}
 
 	snap := o.Reg().Snapshot()

@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
+	"sort"
 	"testing"
 
 	"hetcore/internal/engine"
@@ -23,13 +26,30 @@ func FuzzDiskCacheGet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	_, _, _, payload, err := splitEntry(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	entry := func(stamp, typeName string, payload []byte) []byte {
+		return append(appendEntryHeader(nil, stamp, key.String(), typeName), payload...)
+	}
+	// The v6 format: a JSON envelope. It must read as a miss.
+	v6 := []byte(`{"stamp":"hetcore.dist/v6+` + DeviceTableHash() + `","key":"` + key.String() +
+		`","type":"hetsim.CPUResult","result":{"Config":"BaseCMOS","Cores":4}}`)
+	if err := os.WriteFile(c.path(key), v6, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	if _, ok := c.Get(key); ok {
+		f.Fatal("v6 JSON entry reported a hit")
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // torn write
 	f.Add([]byte{})
-	f.Add([]byte("null"))
-	f.Add([]byte(`{"stamp":"` + Stamp() + `","key":"` + key.String() + `","type":"hetsim.CPUResult","result":[1]}`))
-	f.Add([]byte(`{"stamp":"` + Stamp() + `","key":"` + key.String() + `","type":"nope","result":{}}`))
-	f.Add([]byte(`{"stamp":"hetcore.dist/v1+0","key":"` + key.String() + `","type":"hetsim.CPUResult","result":{}}`))
+	f.Add(v6)
+	f.Add(entry(Stamp(), "hetsim.CPUResult", payload[:len(payload)-1]))
+	f.Add(entry(Stamp(), "nope", payload))
+	f.Add(entry("hetcore.dist/v1+0", "hetsim.CPUResult", payload))
+	f.Add(entry(Stamp(), "hetsim.CPUResult", append(payload[:len(payload):len(payload)], 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
@@ -41,6 +61,49 @@ func FuzzDiskCacheGet(f *testing.F) {
 		}
 		if _, _, err := EncodeResult(v); err != nil {
 			t.Fatalf("hit %T does not re-encode: %v", v, err)
+		}
+	})
+}
+
+// FuzzDecodeResult: for any registered type name and payload,
+// DecodeResult never panics, and a value it decodes re-encodes to bytes
+// that decode and re-encode to themselves.
+func FuzzDecodeResult(f *testing.F) {
+	protos := RegisteredResults()
+	names := make([]string, 0, len(protos))
+	for name := range protos {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pv := reflect.New(reflect.TypeOf(protos[name])).Elem()
+		seed := 0
+		fillValue(pv, &seed)
+		_, data, err := EncodeResult(pv.Interface())
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range []int{len(data), len(data) - 1, len(data) / 2, 1, 0} {
+			f.Add(name, data[:n])
+		}
+	}
+	f.Add("no.SuchType", []byte{0})
+
+	f.Fuzz(func(t *testing.T, name string, data []byte) {
+		v, err := DecodeResult(name, data)
+		if err != nil {
+			return
+		}
+		gotName, again, err := EncodeResult(v)
+		if err != nil || gotName != name {
+			t.Fatalf("decoded %T re-encodes as %q, %v", v, gotName, err)
+		}
+		back, err := DecodeResult(name, again)
+		if err != nil {
+			t.Fatalf("re-encoded %s does not decode: %v", name, err)
+		}
+		if _, third, _ := EncodeResult(back); !bytes.Equal(third, again) {
+			t.Fatalf("%s re-encoding is unstable:\n %x\n %x", name, again, third)
 		}
 	})
 }

@@ -29,7 +29,10 @@ import (
 // v6: CPUResult gains Activity, from which BaseTFET, the one-core
 // BaseTFET components and the Fig. 14 operating points are repriced; a
 // v5 cpu entry has none to reprice.
-const CacheVersion = 6
+// v7: the binary result codec replaces JSON on disk and on the wire —
+// entries are a binary header plus payload, and JobResponse.Result
+// carries the payload as base64.
+const CacheVersion = 7
 
 var deviceHash = sync.OnceValue(func() string {
 	// Hash the fully-rendered CPU and GPU configuration tables: any

@@ -1,14 +1,12 @@
 package dist
 
 import (
-	"encoding/json"
-
 	"hetcore/internal/engine"
 	"hetcore/internal/obs"
 )
 
 // The wire protocol between the Pool client and a hetserved daemon.
-// JSON over HTTP, three endpoints:
+// JSON envelopes over HTTP, three endpoints:
 //
 //	POST /v1/jobs    JobRequest -> 200 JobResponse (job ran; Error set
 //	                 for a deterministic job failure), 400 malformed,
@@ -16,6 +14,8 @@ import (
 //	GET  /v1/health  -> 200 HealthResponse
 //	GET  /v1/stats   -> 200 StatsResponse (fleet observability)
 //
+// A job's result travels inside the JSON envelope as the result codec's
+// binary payload (base64 in JSON), the same bytes the disk cache stores.
 // Both sides carry Stamp(); a mismatch means the peers were built from
 // different code or device tables and no result may be trusted. The
 // request/response envelopes carry request-scoped trace context
@@ -66,10 +66,10 @@ type JobResponse struct {
 	// TraceID and SpanID echo the request's trace context.
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`
-	// Type and Result are the codec name and JSON payload of the result
-	// (empty when Error is set).
-	Type   string          `json:"type,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
+	// Type and Result are the codec name and binary payload of the
+	// result (empty when Error is set); JSON carries Result as base64.
+	Type   string `json:"type,omitempty"`
+	Result []byte `json:"result,omitempty"`
 	// Error is the job's own deterministic failure, verbatim.
 	Error string `json:"error,omitempty"`
 	// Stamp is the daemon's version stamp.

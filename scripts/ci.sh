@@ -49,6 +49,14 @@ go test -race -run 'TestFigTablesDeterministicAcrossJobs|TestEngineCacheSharedAc
 echo "== go test -race =="
 go test -race ./...
 
+echo "== codec fuzz =="
+# The disk-cache reader and the result decoder take bytes from disk and
+# from the network: a short fuzz run of each must find no panic and no
+# unstable re-encoding. go test -fuzz takes one target per run.
+for target in FuzzDiskCacheGet FuzzDecodeResult; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/dist/
+done
+
 echo "== regression gate (hetcore diff) =="
 # Re-measure this host's simulation rate at the baseline's budget and
 # compare against the committed record. The deterministic instruction
@@ -187,6 +195,15 @@ if ! grep -q '"soc_configs_evaluated"' "$tmp/soc-rerun.json"; then
     echo "soc manifest counters missing from the report" >&2
     exit 1
 fi
+# The dist gate's hetserved is still up: the same sweep through it must
+# match the local one. soc keys are most of a daemon's traffic, so this
+# checks the binary result codec across the wire on the commonest kind.
+soc_run "$tmp/soc-remote.txt" -remote "$addr"
+cmp "$tmp/soc-jobs1.txt" "$tmp/soc-remote.txt" || {
+    echo "remote soc search differs from the local one" >&2
+    cat "$tmp/hetserved.log" >&2
+    exit 1
+}
 
 echo "== accel gate (soc -accel determinism + cached rerun) =="
 # The accelerator search rides the same engine contract: -jobs widths
