@@ -16,7 +16,6 @@ import (
 
 	"hetcore/internal/device"
 	"hetcore/internal/energy"
-	"hetcore/internal/obs"
 )
 
 // Profile is a processor's power draw measured at the nominal operating
@@ -96,52 +95,6 @@ type Decision struct {
 // if even fmin exceeds the budget or no matched voltage pair exists in
 // the range.
 func Select(p Profile, budgetWatts, fmin, fmax, stepGHz float64, d *device.DVFS) (Decision, error) {
-	return SelectObserved(p, budgetWatts, fmin, fmax, stepGHz, d, nil)
-}
-
-// SelectObserved is Select with observability: each call emits a
-// governor.decision trace instant and updates decision counters/gauges
-// (nil o disables both).
-func SelectObserved(p Profile, budgetWatts, fmin, fmax, stepGHz float64, d *device.DVFS, o *obs.Observer) (Decision, error) {
-	dec, err := selectPoint(p, budgetWatts, fmin, fmax, stepGHz, d)
-	if o.Enabled() {
-		reg := o.Reg()
-		if err != nil {
-			if reg != nil {
-				reg.Counter("governor.decisions_infeasible").Inc()
-			}
-			o.AddEvent(obs.Event{Cat: "governor", Name: "governor.infeasible",
-				Args: map[string]float64{"budget_watts": budgetWatts, "fmin_ghz": fmin}})
-		} else {
-			if reg != nil {
-				reg.Counter("governor.decisions_total").Inc()
-				reg.Gauge("governor.last_freq_ghz").Set(dec.FrequencyGHz)
-				reg.Gauge("governor.last_watts").Set(dec.Watts)
-			}
-			o.AddEvent(obs.Event{Cat: "governor", Name: "governor.decision",
-				Args: map[string]float64{
-					"freq_ghz":     dec.FrequencyGHz,
-					"watts":        dec.Watts,
-					"budget_watts": budgetWatts,
-					"v_cmos":       dec.Pair.VCMOS,
-					"v_tfet":       dec.Pair.VTFET,
-				}})
-			if tr := o.Tracer(); tr.Enabled() {
-				tr.Instant(0, 0, "governor.decision", "governor", 0,
-					map[string]any{
-						"freq_ghz":     dec.FrequencyGHz,
-						"watts":        dec.Watts,
-						"budget_watts": budgetWatts,
-						"v_cmos":       dec.Pair.VCMOS,
-						"v_tfet":       dec.Pair.VTFET,
-					})
-			}
-		}
-	}
-	return dec, err
-}
-
-func selectPoint(p Profile, budgetWatts, fmin, fmax, stepGHz float64, d *device.DVFS) (Decision, error) {
 	if err := p.Validate(); err != nil {
 		return Decision{}, err
 	}

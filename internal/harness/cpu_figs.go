@@ -7,7 +7,6 @@ import (
 	"hetcore/internal/dist"
 	"hetcore/internal/energy"
 	"hetcore/internal/engine"
-	"hetcore/internal/governor"
 	"hetcore/internal/hetsim"
 	"hetcore/internal/obs"
 	"hetcore/internal/trace"
@@ -443,34 +442,13 @@ func Fig14(opts Options) (Table, error) {
 	ji := 0
 	for _, pt := range points {
 		vals := make([]float64, len(configs))
-		for ci, cn := range configs {
+		for ci := range configs {
 			var total float64
-			var last hetsim.CPUResult
 			for range profiles {
-				res := outs[ji]
+				total += outs[ji].Energy.Total()
 				ji++
-				total += res.Energy.Total()
-				last = res
 			}
 			vals[ci] = total
-			// Observational only: under observability, ask the governor
-			// what operating point the measured profile supports at its
-			// own nominal power. This feeds governor.decision events and
-			// counters without touching the table values.
-			if opts.Obs.Enabled() && pt.label == "BaseFreq-2GHz" && last.TimeSec > 0 {
-				dynShare, leakShare := 1.0, 1.0
-				if cn != "BaseCMOS" {
-					// AdvHet: CMOS frontend/OoO carries most dynamic power,
-					// TFET caches most of the leakage (cf. examples/power_budget).
-					dynShare, leakShare = 0.65, 0.40
-				}
-				if p, err := governor.FromMeasurement(last.Energy, last.TimeSec, dynShare, leakShare); err == nil {
-					nomW, err := governor.PowerAt(p, pt.freq, dvfs)
-					if err == nil {
-						governor.SelectObserved(p, nomW, 1.0, 3.0, 0.05, dvfs, opts.Obs) //nolint:errcheck
-					}
-				}
-			}
 		}
 		if pt.label == "BaseFreq-2GHz" {
 			baseline = vals[0]

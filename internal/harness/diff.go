@@ -15,17 +15,19 @@ import (
 
 // This file is the cross-run regression gate: `hetcore diff` loads two
 // run-record manifests (the -metrics-out reports, schema hetcore.obs/v1),
-// two BENCH_sim_rate.json files, or two BENCH_load.json load-test
-// records, computes per-metric deltas against configurable thresholds,
-// renders a readable table and reports whether anything regressed.
-// scripts/ci.sh runs it against the committed baselines so sim-rate,
-// paper-metric or serving-latency drift fails CI.
+// two BENCH_sim_rate.json files, two BENCH_load.json load-test records
+// or two traffic reports, flattens each to a vector of named metrics,
+// computes per-metric deltas against configurable thresholds, renders a
+// readable table and reports whether anything regressed. scripts/ci.sh
+// runs it against the committed baselines so sim-rate, paper-metric or
+// serving-latency drift fails CI.
 
 // DiffOptions sets the regression thresholds. Deterministic simulation
 // metrics (IPC, time, energy, instruction counts — fixed for a given
 // config/workload/seed) use RelTol; host-timing metrics (simulation
 // rates, wall seconds) vary run to run and machine to machine and use
-// the much looser RateTol.
+// the much looser RateTol. A zero tolerance is exact: any move in the
+// regressing direction fails.
 type DiffOptions struct {
 	// RelTol is the relative tolerance for deterministic metrics
 	// (fraction; 0.001 = 0.1%). Any drift beyond it, in either
@@ -36,17 +38,6 @@ type DiffOptions struct {
 	RateTol float64
 }
 
-// withDefaults fills unset thresholds.
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.RelTol == 0 {
-		o.RelTol = 0.001
-	}
-	if o.RateTol == 0 {
-		o.RateTol = 0.25
-	}
-	return o
-}
-
 // diffDirection says which way a metric may move without regressing.
 type diffDirection int
 
@@ -55,6 +46,30 @@ const (
 	lowerBetter
 	exactMatch // deterministic: any drift beyond tolerance regresses
 )
+
+// metricClass says which tolerance gates a metric.
+type metricClass int
+
+const (
+	deterministic metricClass = iota // gated at RelTol
+	hostTiming                       // gated at RateTol
+)
+
+// metric is one named value of a payload. Every payload `hetcore diff`
+// and `hetcore trend` read flattens to a vector of these, so one
+// function diffs any two vectors and one takes the median of many.
+type metric struct {
+	subject string // run or scenario key; "" for a payload-wide metric
+	name    string
+	value   float64
+	dir     diffDirection
+	class   metricClass
+}
+
+// metricKey identifies a metric across vectors.
+type metricKey struct{ subject, name string }
+
+func (m metric) key() metricKey { return metricKey{m.subject, m.name} }
 
 // DiffRow is one compared metric.
 type DiffRow struct {
@@ -69,7 +84,7 @@ type DiffRow struct {
 
 // DiffResult is the full comparison.
 type DiffResult struct {
-	Kind string    `json:"kind"` // "report" or "bench"
+	Kind string    `json:"kind"` // "report", "bench", "load" or "traffic"
 	Rows []DiffRow `json:"rows"`
 }
 
@@ -175,42 +190,71 @@ func classify(old, new float64, dir diffDirection, tol float64) (deltaPct float6
 	return deltaPct, "ok"
 }
 
-// diffFile is the sniffed union of the supported payloads.
-type diffFile struct {
-	report  *obs.Report
-	bench   *BenchRecord
-	load    *dist.LoadRecord
-	traffic *traffic.Report
-}
-
-// kind names the sniffed payload kind, with its schema where it has one,
-// so a mismatched-kind diff can say what each side actually is.
-func (f diffFile) kind() string {
-	switch {
-	case f.report != nil:
-		return fmt.Sprintf("metrics report (%s)", obs.SchemaVersion)
-	case f.bench != nil:
-		return "bench record"
-	case f.load != nil:
-		return fmt.Sprintf("load record (%s)", dist.LoadSchemaVersion)
-	case f.traffic != nil:
-		return fmt.Sprintf("traffic report (%s)", traffic.SchemaVersion)
-	default:
-		return "unknown payload"
+// diffMetrics compares two metric vectors of one payload kind, in the
+// old vector's order. A subject missing from the new vector gives one
+// REGRESSED .missing row, a subject only in the new vector one ok .new
+// row; a payload-wide metric missing from either side is skipped.
+func diffMetrics(kind string, old, new []metric, opts DiffOptions) DiffResult {
+	newVals := make(map[metricKey]float64, len(new))
+	newSubjects := map[string]bool{}
+	for _, m := range new {
+		newVals[m.key()] = m.value
+		newSubjects[m.subject] = true
 	}
+	res := DiffResult{Kind: kind}
+	seen := map[string]bool{} // subjects already handled
+	for _, m := range old {
+		first := !seen[m.subject]
+		seen[m.subject] = true
+		if m.subject != "" && !newSubjects[m.subject] {
+			if first {
+				res.Rows = append(res.Rows, DiffRow{Metric: m.subject + ".missing",
+					Old: 1, New: 0, DeltaPct: -100, Status: "REGRESSED"})
+			}
+			continue
+		}
+		n, ok := newVals[m.key()]
+		if !ok {
+			continue
+		}
+		tol := opts.RelTol
+		if m.class == hostTiming {
+			tol = opts.RateTol
+		}
+		label := m.name
+		if m.subject != "" {
+			label = m.subject + "." + m.name
+		}
+		d, st := classify(m.value, n, m.dir, tol)
+		res.Rows = append(res.Rows, DiffRow{Metric: label, Old: m.value, New: n, DeltaPct: d, Status: st})
+	}
+	for _, m := range new {
+		if m.subject != "" && !seen[m.subject] {
+			seen[m.subject] = true
+			res.Rows = append(res.Rows, DiffRow{Metric: m.subject + ".new", Old: 0, New: 1, Status: "ok"})
+		}
+	}
+	return res
 }
 
-// loadDiffFile reads path and decides whether it is a -metrics-out
+// payload is one sniffed diff input flattened to its metric vector.
+type payload struct {
+	kind    string // DiffResult.Kind: "report", "bench", "load" or "traffic"
+	desc    string // the kind with its schema, for a mixed-kind error
+	metrics []metric
+}
+
+// loadPayload reads path and decides whether it is a -metrics-out
 // report, a BENCH_sim_rate.json record, a BENCH_load.json record or a
 // traffic report.
-func loadDiffFile(path string) (diffFile, error) {
+func loadPayload(path string) (payload, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return diffFile{}, err
+		return payload{}, err
 	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &probe); err != nil {
-		return diffFile{}, fmt.Errorf("%s: not a JSON object: %w", path, err)
+		return payload{}, fmt.Errorf("%s: not a JSON object: %w", path, err)
 	}
 	var schema string
 	if probe["schema"] != nil {
@@ -220,154 +264,111 @@ func loadDiffFile(path string) (diffFile, error) {
 	case schema == traffic.SchemaVersion:
 		var r traffic.Report
 		if err := json.Unmarshal(raw, &r); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding traffic report: %w", path, err)
+			return payload{}, fmt.Errorf("%s: decoding traffic report: %w", path, err)
 		}
 		if err := r.Validate(); err != nil {
-			return diffFile{}, fmt.Errorf("%s: %w", path, err)
+			return payload{}, fmt.Errorf("%s: %w", path, err)
 		}
-		return diffFile{traffic: &r}, nil
+		return payload{"traffic", "traffic report (" + traffic.SchemaVersion + ")", trafficMetrics(r)}, nil
 	case probe["manifest"] != nil:
 		var r obs.Report
 		if err := json.Unmarshal(raw, &r); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding report: %w", path, err)
+			return payload{}, fmt.Errorf("%s: decoding report: %w", path, err)
 		}
 		if r.Manifest.Schema != obs.SchemaVersion {
-			return diffFile{}, fmt.Errorf("%s: schema %q, want %q",
+			return payload{}, fmt.Errorf("%s: schema %q, want %q",
 				path, r.Manifest.Schema, obs.SchemaVersion)
 		}
-		return diffFile{report: &r}, nil
+		return payload{"report", "metrics report (" + obs.SchemaVersion + ")", reportMetrics(r)}, nil
 	case probe["cpu_insts_per_sec"] != nil:
 		var b BenchRecord
 		if err := json.Unmarshal(raw, &b); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding bench record: %w", path, err)
+			return payload{}, fmt.Errorf("%s: decoding bench record: %w", path, err)
 		}
-		return diffFile{bench: &b}, nil
+		return payload{"bench", "bench record", benchMetrics(b)}, nil
 	case probe["requests_per_sec"] != nil:
 		var l dist.LoadRecord
 		if err := json.Unmarshal(raw, &l); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding load record: %w", path, err)
+			return payload{}, fmt.Errorf("%s: decoding load record: %w", path, err)
 		}
 		if l.Schema != dist.LoadSchemaVersion {
-			return diffFile{}, fmt.Errorf("%s: schema %q, want %q",
+			return payload{}, fmt.Errorf("%s: schema %q, want %q",
 				path, l.Schema, dist.LoadSchemaVersion)
 		}
-		return diffFile{load: &l}, nil
+		return payload{"load", "load record (" + dist.LoadSchemaVersion + ")", loadMetrics(l)}, nil
 	default:
-		return diffFile{}, fmt.Errorf("%s: not a metrics report (manifest), bench record (cpu_insts_per_sec), load record (requests_per_sec) or traffic report (schema %s)", path, traffic.SchemaVersion)
+		return payload{}, fmt.Errorf("%s: not a metrics report (manifest), bench record (cpu_insts_per_sec), load record (requests_per_sec) or traffic report (schema %s)", path, traffic.SchemaVersion)
 	}
 }
 
 // DiffFiles loads and compares two payload files of the same kind.
 func DiffFiles(oldPath, newPath string, opts DiffOptions) (DiffResult, error) {
-	a, err := loadDiffFile(oldPath)
+	a, err := loadPayload(oldPath)
 	if err != nil {
 		return DiffResult{}, err
 	}
-	b, err := loadDiffFile(newPath)
+	b, err := loadPayload(newPath)
 	if err != nil {
 		return DiffResult{}, err
 	}
-	switch {
-	case a.report != nil && b.report != nil:
-		return DiffReports(*a.report, *b.report, opts), nil
-	case a.bench != nil && b.bench != nil:
-		return DiffBench(*a.bench, *b.bench, opts), nil
-	case a.load != nil && b.load != nil:
-		return DiffLoad(*a.load, *b.load, opts), nil
-	case a.traffic != nil && b.traffic != nil:
-		return DiffTraffic(*a.traffic, *b.traffic, opts), nil
-	default:
+	if a.kind != b.kind {
 		return DiffResult{}, fmt.Errorf("cannot diff payloads of different kinds: %s is a %s, %s is a %s",
-			oldPath, a.kind(), newPath, b.kind())
+			oldPath, a.desc, newPath, b.desc)
 	}
+	return diffMetrics(a.kind, a.metrics, b.metrics, opts), nil
 }
 
-// DiffTraffic compares two traffic reports scenario by scenario. The
-// simulation is deterministic, so everything uses the strict RelTol:
-// energy per request, latency quantiles and SLO accounting may only
-// fall; the offered request count must match exactly. Scenarios that
-// disappeared regress; new ones are noted as ok.
-func DiffTraffic(old, new traffic.Report, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "traffic"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
+// trafficMetrics lists a traffic report per scenario and trace. The
+// simulation is deterministic, so everything is gated at RelTol: energy
+// per request, latency quantiles and SLO accounting may only fall; the
+// offered request count must match exactly.
+func trafficMetrics(r traffic.Report) []metric {
+	var ms []metric
+	for _, s := range r.Scenarios {
+		k := s.Scenario + "/" + s.Trace
+		ms = append(ms,
+			metric{k, "requests", float64(s.Requests), exactMatch, deterministic},
+			metric{k, "energy_per_req_j", s.EnergyPerReqJ, lowerBetter, deterministic},
+			metric{k, "p50_sec", s.P50Sec, lowerBetter, deterministic},
+			metric{k, "p99_sec", s.P99Sec, lowerBetter, deterministic},
+			metric{k, "slo_violations", float64(s.SLOViolations), lowerBetter, deterministic},
+			metric{k, "deadline_misses", float64(s.DeadlineMisses), lowerBetter, deterministic})
 	}
-	newByName := make(map[string]traffic.Result, len(new.Scenarios))
-	for _, s := range new.Scenarios {
-		newByName[s.Scenario] = s
-	}
-	for _, o := range old.Scenarios {
-		k := o.Scenario + "/" + o.Trace
-		n, ok := newByName[o.Scenario]
-		if !ok {
-			res.Rows = append(res.Rows, DiffRow{Metric: k + ".missing",
-				Old: 1, New: 0, DeltaPct: -100, Status: "REGRESSED"})
-			continue
-		}
-		add(k+".requests", float64(o.Requests), float64(n.Requests), exactMatch, opts.RelTol)
-		add(k+".energy_per_req_j", o.EnergyPerReqJ, n.EnergyPerReqJ, lowerBetter, opts.RelTol)
-		add(k+".p50_sec", o.P50Sec, n.P50Sec, lowerBetter, opts.RelTol)
-		add(k+".p99_sec", o.P99Sec, n.P99Sec, lowerBetter, opts.RelTol)
-		add(k+".slo_violations", float64(o.SLOViolations), float64(n.SLOViolations), lowerBetter, opts.RelTol)
-		add(k+".deadline_misses", float64(o.DeadlineMisses), float64(n.DeadlineMisses), lowerBetter, opts.RelTol)
-	}
-	oldByName := make(map[string]bool, len(old.Scenarios))
-	for _, s := range old.Scenarios {
-		oldByName[s.Scenario] = true
-	}
-	for _, s := range new.Scenarios {
-		if !oldByName[s.Scenario] {
-			res.Rows = append(res.Rows, DiffRow{Metric: s.Scenario + "/" + s.Trace + ".new",
-				Old: 0, New: 1, Status: "ok"})
-		}
-	}
-	return res
+	return ms
 }
 
-// DiffBench compares two simulation-rate benchmark records. Rates are
-// host timing, so both use RateTol and only slowdowns regress.
-func DiffBench(old, new BenchRecord, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "bench"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
+// benchMetrics lists a simulation-rate benchmark record. Rates are host
+// timing and may only fall by RateTol; instruction and run counts are
+// exact.
+func benchMetrics(b BenchRecord) []metric {
+	ms := []metric{
+		{"", "cpu_insts_per_sec", b.CPUInstsPerSec, higherBetter, hostTiming},
+		{"", "gpu_wave_insts_per_sec", b.GPUWaveInstsPerSec, higherBetter, hostTiming},
+		{"", "cpu_instructions", float64(b.CPUInstructions), exactMatch, deterministic},
+		{"", "gpu_wave_insts", float64(b.GPUWaveInsts), exactMatch, deterministic},
 	}
-	add("cpu_insts_per_sec", old.CPUInstsPerSec, new.CPUInstsPerSec, higherBetter, opts.RateTol)
-	add("gpu_wave_insts_per_sec", old.GPUWaveInstsPerSec, new.GPUWaveInstsPerSec, higherBetter, opts.RateTol)
-	add("cpu_instructions", float64(old.CPUInstructions), float64(new.CPUInstructions), exactMatch, opts.RelTol)
-	add("gpu_wave_insts", float64(old.GPUWaveInsts), float64(new.GPUWaveInsts), exactMatch, opts.RelTol)
-	// Full-suite figures (run-plan engine). Skipped when the old record
-	// predates them, so new-format records still diff against old
-	// baselines.
-	if old.SuiteRuns > 0 && new.SuiteRuns > 0 {
-		add("suite_runs", float64(old.SuiteRuns), float64(new.SuiteRuns), exactMatch, opts.RelTol)
-		add("suite_runs_per_sec", old.SuiteRunsPerSec, new.SuiteRunsPerSec, higherBetter, opts.RateTol)
+	// Records that predate the run-plan engine have no suite fields; the
+	// diff skips a metric either side lacks, so they still compare.
+	if b.SuiteRuns > 0 {
+		ms = append(ms,
+			metric{"", "suite_runs", float64(b.SuiteRuns), exactMatch, deterministic},
+			metric{"", "suite_runs_per_sec", b.SuiteRunsPerSec, higherBetter, hostTiming})
 	}
-	return res
+	return ms
 }
 
-// DiffLoad compares two load-test records direction-aware: throughput
-// may only fall, latency quantiles and the error rate may only rise, by
-// more than RateTol, before the gate trips. Everything here is host
-// timing, so RateTol applies throughout — except the error rate, which
-// is a correctness signal and uses the strict RelTol (a baseline of
-// zero errors regresses on the first error).
-func DiffLoad(old, new dist.LoadRecord, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "load"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
+// loadMetrics lists a load-test record: throughput may only fall,
+// latency quantiles only rise, by RateTol. The error rate is a
+// correctness signal gated at RelTol, so a zero-error baseline regresses
+// on the first error.
+func loadMetrics(l dist.LoadRecord) []metric {
+	return []metric{
+		{"", "requests_per_sec", l.RequestsPerSec, higherBetter, hostTiming},
+		{"", "latency_p50_ms", l.LatencyP50MS, lowerBetter, hostTiming},
+		{"", "latency_p95_ms", l.LatencyP95MS, lowerBetter, hostTiming},
+		{"", "latency_p99_ms", l.LatencyP99MS, lowerBetter, hostTiming},
+		{"", "error_rate", l.ErrorRate, lowerBetter, deterministic},
 	}
-	add("requests_per_sec", old.RequestsPerSec, new.RequestsPerSec, higherBetter, opts.RateTol)
-	add("latency_p50_ms", old.LatencyP50MS, new.LatencyP50MS, lowerBetter, opts.RateTol)
-	add("latency_p95_ms", old.LatencyP95MS, new.LatencyP95MS, lowerBetter, opts.RateTol)
-	add("latency_p99_ms", old.LatencyP99MS, new.LatencyP99MS, lowerBetter, opts.RateTol)
-	add("error_rate", old.ErrorRate, new.ErrorRate, lowerBetter, opts.RelTol)
-	return res
 }
 
 // runKey identifies a run record across two reports.
@@ -379,70 +380,46 @@ func runKey(r obs.RunRecord) string {
 	return k
 }
 
-// DiffReports compares two -metrics-out reports: the aggregate sim rate
-// (host timing) and, for every run present in both, the deterministic
-// paper metrics — IPC, simulated time, total energy, instruction count.
-// Runs that disappeared from the new report regress; new runs are noted
-// as ok.
-func DiffReports(old, new obs.Report, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "report"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
+// reportMetrics lists a -metrics-out report: the aggregate sim rate
+// (host timing), the run count, and per run, in sorted run-key order,
+// the deterministic paper metrics — IPC, simulated time, total energy,
+// instruction count. The last record of a duplicated run key wins.
+func reportMetrics(r obs.Report) []metric {
+	ms := []metric{
+		{"", "manifest.sim_rate_kips", r.Manifest.SimRateKIPS, higherBetter, hostTiming},
+		{"", "manifest.runs", float64(r.Manifest.Runs), higherBetter, deterministic},
 	}
-	add("manifest.sim_rate_kips", old.Manifest.SimRateKIPS, new.Manifest.SimRateKIPS,
-		higherBetter, opts.RateTol)
-	add("manifest.runs", float64(old.Manifest.Runs), float64(new.Manifest.Runs),
-		higherBetter, opts.RelTol)
-
-	oldRuns := make(map[string]obs.RunRecord, len(old.Runs))
-	for _, r := range old.Runs {
-		oldRuns[runKey(r)] = r
+	runs := make(map[string]obs.RunRecord, len(r.Runs))
+	for _, rec := range r.Runs {
+		runs[runKey(rec)] = rec
 	}
-	newRuns := make(map[string]obs.RunRecord, len(new.Runs))
-	for _, r := range new.Runs {
-		newRuns[runKey(r)] = r
-	}
-	keys := make([]string, 0, len(oldRuns))
-	for k := range oldRuns {
+	keys := make([]string, 0, len(runs))
+	for k := range runs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		o := oldRuns[k]
-		n, ok := newRuns[k]
-		if !ok {
-			res.Rows = append(res.Rows, DiffRow{Metric: k + ".missing",
-				Old: 1, New: 0, DeltaPct: -100, Status: "REGRESSED"})
-			continue
-		}
-		add(k+".ipc", o.IPC, n.IPC, higherBetter, opts.RelTol)
-		add(k+".time_sec", o.TimeSec, n.TimeSec, lowerBetter, opts.RelTol)
-		add(k+".energy_j", energyTotal(o), energyTotal(n), lowerBetter, opts.RelTol)
-		add(k+".instructions", float64(o.Instructions), float64(n.Instructions),
-			exactMatch, opts.RelTol)
+		rec := runs[k]
+		ms = append(ms,
+			metric{k, "ipc", rec.IPC, higherBetter, deterministic},
+			metric{k, "time_sec", rec.TimeSec, lowerBetter, deterministic},
+			metric{k, "energy_j", energyTotal(rec), lowerBetter, deterministic},
+			metric{k, "instructions", float64(rec.Instructions), exactMatch, deterministic})
 	}
-	// Runs only in the new report: visible, never a regression.
-	extras := make([]string, 0)
-	for k := range newRuns {
-		if _, ok := oldRuns[k]; !ok {
-			extras = append(extras, k)
-		}
-	}
-	sort.Strings(extras)
-	for _, k := range extras {
-		res.Rows = append(res.Rows, DiffRow{Metric: k + ".new", Old: 0,
-			New: 1, Status: "ok"})
-	}
-	return res
+	return ms
 }
 
-// energyTotal sums a record's per-component energy map.
+// energyTotal sums a record's per-component energy map in sorted
+// component order, so the same record always gives the same bits.
 func energyTotal(r obs.RunRecord) float64 {
+	comps := make([]string, 0, len(r.EnergyJ))
+	for c := range r.EnergyJ {
+		comps = append(comps, c)
+	}
+	sort.Strings(comps)
 	t := 0.0
-	for _, v := range r.EnergyJ {
-		t += v
+	for _, c := range comps {
+		t += r.EnergyJ[c]
 	}
 	return t
 }

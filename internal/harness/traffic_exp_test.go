@@ -76,13 +76,13 @@ func fixtureTrafficReport() traffic.Report {
 // only; vanished scenarios regress, new ones pass.
 func TestDiffTraffic(t *testing.T) {
 	old := fixtureTrafficReport()
-	if res := DiffTraffic(old, old, DiffOptions{}); res.Regressed() {
+	if res := diffMetrics("traffic", trafficMetrics(old), trafficMetrics(old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("identical reports regressed: %+v", res.Regressions())
 	}
 
 	costly := fixtureTrafficReport()
 	costly.Scenarios[0].EnergyPerReqJ *= 1.10
-	res := DiffTraffic(old, costly, DiffOptions{})
+	res := diffMetrics("traffic", trafficMetrics(old), trafficMetrics(costly), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("+10% energy per request not flagged")
 	}
@@ -90,35 +90,35 @@ func TestDiffTraffic(t *testing.T) {
 		t.Fatalf("regressed metric = %s, want energy_per_req_j", got)
 	}
 	// The same magnitude of improvement passes.
-	if res := DiffTraffic(costly, old, DiffOptions{}); res.Regressed() {
+	if res := diffMetrics("traffic", trafficMetrics(costly), trafficMetrics(old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("energy improvement flagged: %+v", res.Regressions())
 	}
 
 	// SLO violations appearing against a clean baseline regress.
 	violated := fixtureTrafficReport()
 	violated.Scenarios[1].SLOViolations = 25
-	if res := DiffTraffic(old, violated, DiffOptions{}); !res.Regressed() {
+	if res := diffMetrics("traffic", trafficMetrics(old), trafficMetrics(violated), DiffOptions{}); !res.Regressed() {
 		t.Fatal("new SLO violations not flagged")
 	}
 
 	// Request counts are deterministic: drift in either direction fails.
 	drifted := fixtureTrafficReport()
 	drifted.Scenarios[0].Requests += 7
-	if res := DiffTraffic(old, drifted, DiffOptions{}); !res.Regressed() {
+	if res := diffMetrics("traffic", trafficMetrics(old), trafficMetrics(drifted), DiffOptions{}); !res.Regressed() {
 		t.Fatal("request-count drift not flagged")
 	}
 
 	// A scenario that vanished regresses; a new one is just noted.
 	shrunk := fixtureTrafficReport()
 	shrunk.Scenarios = shrunk.Scenarios[:1]
-	res = DiffTraffic(old, shrunk, DiffOptions{})
+	res = diffMetrics("traffic", trafficMetrics(old), trafficMetrics(shrunk), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("missing scenario not flagged")
 	}
 	if got := res.Regressions()[0].Metric; !strings.Contains(got, "missing") {
 		t.Fatalf("regressed metric = %s, want *.missing", got)
 	}
-	if res := DiffTraffic(shrunk, old, DiffOptions{}); res.Regressed() {
+	if res := diffMetrics("traffic", trafficMetrics(shrunk), trafficMetrics(old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("new scenario flagged: %+v", res.Regressions())
 	}
 }
@@ -189,5 +189,67 @@ func TestTrendTrafficKind(t *testing.T) {
 	}
 	if len(res.Kinds) != 1 || res.Kinds[0].Kind != "traffic" || res.Kinds[0].Baseline != 2 {
 		t.Fatalf("kinds = %+v, want one traffic kind with baseline 2", res.Kinds)
+	}
+}
+
+// withTrace returns the fixture report with every scenario on trace, and
+// the energy per request scaled by eprScale.
+func withTrace(trace string, eprScale float64) traffic.Report {
+	r := fixtureTrafficReport()
+	r.Trace = trace
+	for i := range r.Scenarios {
+		r.Scenarios[i].Trace = trace
+		r.Scenarios[i].EnergyPerReqJ *= eprScale
+	}
+	return r
+}
+
+// TestDiffTrafficAcrossTraces: scenarios pair by name and trace, so a
+// diurnal report diffed against a bursty one compares no numbers: every
+// diurnal scenario is missing and every bursty one is new.
+func TestDiffTrafficAcrossTraces(t *testing.T) {
+	res := diffMetrics("traffic", trafficMetrics(withTrace("diurnal", 1)),
+		trafficMetrics(withTrace("bursty", 1)), DiffOptions{})
+	var got []string
+	for _, row := range res.Rows {
+		got = append(got, row.Metric+" "+row.Status)
+	}
+	want := []string{
+		"c4t4g0+cacheaware/diurnal.missing REGRESSED",
+		"c4t4g0+naive/diurnal.missing REGRESSED",
+		"c4t4g0+cacheaware/bursty.new ok",
+		"c4t4g0+naive/bursty.new ok",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestTrendTrafficTracesNotMixed: the trend median of a scenario takes
+// only entries of its own trace, so cheaper bursty entries in the
+// history do not make a steady diurnal entry look like a regression.
+func TestTrendTrafficTracesNotMixed(t *testing.T) {
+	hist := []HistoryEntry{
+		NewTrafficHistoryEntry(withTrace("diurnal", 1), "go-test", 1),
+		NewTrafficHistoryEntry(withTrace("bursty", 0.5), "go-test", 2),
+		NewTrafficHistoryEntry(withTrace("bursty", 0.5), "go-test", 3),
+		NewTrafficHistoryEntry(withTrace("diurnal", 1), "go-test", 4),
+	}
+	res := Trend(hist, 0, DiffOptions{})
+	want := fixtureTrafficReport().Scenarios[0].EnergyPerReqJ
+	var seen bool
+	for _, row := range res.Kinds[0].Diff.Rows {
+		if strings.HasSuffix(row.Metric, "/diurnal.energy_per_req_j") && row.Status != "ok" {
+			t.Errorf("%s = %s against a median of %v", row.Metric, row.Status, row.Old)
+		}
+		if row.Metric == "c4t4g0+cacheaware/diurnal.energy_per_req_j" {
+			seen = true
+			if row.Old != want {
+				t.Errorf("diurnal median = %v, want %v (diurnal entries only)", row.Old, want)
+			}
+		}
+	}
+	if !seen {
+		t.Fatalf("no diurnal energy row in %+v", res.Kinds[0].Diff.Rows)
 	}
 }

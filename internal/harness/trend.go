@@ -15,7 +15,7 @@ import (
 // This file is the trend layer over the benchmark records: `hetcore
 // bench -history` and `hetload -history` append one JSONL entry per
 // measurement to BENCH_history.jsonl, and `hetcore trend` compares the
-// newest entry of each kind against the field-wise median of the prior
+// newest entry of each kind against the metric-wise median of the prior
 // entries with the same direction-aware thresholds `hetcore diff` uses.
 // A median baseline makes the gate robust to individual noisy runs: one
 // slow measurement in the history does not move the reference much, and
@@ -171,7 +171,7 @@ func plural(n int, one, many string) string {
 }
 
 // Trend compares, per kind, the newest history entry against the
-// field-wise median of up to window prior entries (0 = all prior).
+// metric-wise median of up to window prior entries (0 = all prior).
 // Kinds with fewer than two entries are reported with Baseline 0 and an
 // empty diff. The diff uses the same direction-aware thresholds as
 // `hetcore diff`: deterministic counts must match within RelTol,
@@ -198,14 +198,11 @@ func Trend(entries []HistoryEntry, window int, opts DiffOptions) TrendResult {
 				prior = prior[len(prior)-window:]
 			}
 			kr.Baseline = len(prior)
-			switch kind {
-			case "bench":
-				kr.Diff = DiffBench(medianBench(prior), *newest.Bench, opts)
-			case "load":
-				kr.Diff = DiffLoad(medianLoad(prior), *newest.Load, opts)
-			case "traffic":
-				kr.Diff = DiffTraffic(medianTraffic(prior), *newest.Traffic, opts)
+			vecs := make([][]metric, len(prior))
+			for i, e := range prior {
+				vecs[i] = e.metrics()
 			}
+			kr.Diff = diffMetrics(kind, medianMetrics(vecs), newest.metrics(), opts)
 		}
 		res.Kinds = append(res.Kinds, kr)
 	}
@@ -227,102 +224,38 @@ func median(vs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// medianBench builds a synthetic baseline record whose compared fields
-// are the field-wise medians of the prior entries. Suite fields count
-// only entries that have them (older records predate the suite).
-func medianBench(prior []HistoryEntry) BenchRecord {
-	var (
-		cpuRate, gpuRate, suiteRate   []float64
-		cpuInsts, gpuInsts, suiteRuns []float64
-	)
-	for _, e := range prior {
-		b := e.Bench
-		cpuRate = append(cpuRate, b.CPUInstsPerSec)
-		gpuRate = append(gpuRate, b.GPUWaveInstsPerSec)
-		cpuInsts = append(cpuInsts, float64(b.CPUInstructions))
-		gpuInsts = append(gpuInsts, float64(b.GPUWaveInsts))
-		if b.SuiteRuns > 0 {
-			suiteRuns = append(suiteRuns, float64(b.SuiteRuns))
-			suiteRate = append(suiteRate, b.SuiteRunsPerSec)
-		}
-	}
-	return BenchRecord{
-		CPUInstsPerSec:     median(cpuRate),
-		GPUWaveInstsPerSec: median(gpuRate),
-		CPUInstructions:    uint64(median(cpuInsts)),
-		GPUWaveInsts:       uint64(median(gpuInsts)),
-		SuiteRuns:          int(median(suiteRuns)),
-		SuiteRunsPerSec:    median(suiteRate),
-	}
-}
-
-// medianLoad is medianBench for load records.
-func medianLoad(prior []HistoryEntry) dist.LoadRecord {
-	var rps, p50, p95, p99, errRate []float64
-	for _, e := range prior {
-		l := e.Load
-		rps = append(rps, l.RequestsPerSec)
-		p50 = append(p50, l.LatencyP50MS)
-		p95 = append(p95, l.LatencyP95MS)
-		p99 = append(p99, l.LatencyP99MS)
-		errRate = append(errRate, l.ErrorRate)
-	}
-	return dist.LoadRecord{
-		RequestsPerSec: median(rps),
-		LatencyP50MS:   median(p50),
-		LatencyP95MS:   median(p95),
-		LatencyP99MS:   median(p99),
-		ErrorRate:      median(errRate),
-	}
-}
-
-// medianTraffic builds a synthetic baseline report: per scenario seen in
-// the prior entries, the field-wise median of the compared metrics. The
-// simulation is deterministic, so the medians normally equal every
-// entry; the median shields the gate from one bad historical entry all
-// the same.
-func medianTraffic(prior []HistoryEntry) traffic.Report {
-	type agg struct {
-		res                    traffic.Result
-		epr, p50, p99, slo, dl []float64
-		reqs                   []float64
-	}
-	byName := map[string]*agg{}
-	var order []string
-	for _, e := range prior {
-		for _, s := range e.Traffic.Scenarios {
-			a := byName[s.Scenario]
-			if a == nil {
-				a = &agg{res: s}
-				byName[s.Scenario] = a
-				order = append(order, s.Scenario)
+// medianMetrics is the metric-wise median of the prior vectors, in
+// first-seen order: each metric's median over the entries that carry it.
+// Bench records that predate the suite fields, and scenarios of another
+// trace, therefore never drag a median.
+func medianMetrics(prior [][]metric) []metric {
+	var out []metric
+	vals := map[metricKey][]float64{}
+	for _, ms := range prior {
+		for _, m := range ms {
+			if _, ok := vals[m.key()]; !ok {
+				out = append(out, m)
 			}
-			a.reqs = append(a.reqs, float64(s.Requests))
-			a.epr = append(a.epr, s.EnergyPerReqJ)
-			a.p50 = append(a.p50, s.P50Sec)
-			a.p99 = append(a.p99, s.P99Sec)
-			a.slo = append(a.slo, float64(s.SLOViolations))
-			a.dl = append(a.dl, float64(s.DeadlineMisses))
+			vals[m.key()] = append(vals[m.key()], m.value)
 		}
 	}
-	sort.Strings(order)
-	rep := traffic.Report{Schema: traffic.SchemaVersion}
-	if len(prior) > 0 {
-		rep.Trace = prior[len(prior)-1].Traffic.Trace
-		rep.SLOMS = prior[len(prior)-1].Traffic.SLOMS
+	for i, m := range out {
+		out[i].value = median(vals[m.key()])
 	}
-	for _, name := range order {
-		a := byName[name]
-		r := a.res
-		r.Requests = uint64(median(a.reqs))
-		r.EnergyPerReqJ = median(a.epr)
-		r.P50Sec = median(a.p50)
-		r.P99Sec = median(a.p99)
-		r.SLOViolations = uint64(median(a.slo))
-		r.DeadlineMisses = uint64(median(a.dl))
-		rep.Scenarios = append(rep.Scenarios, r)
+	return out
+}
+
+// metrics flattens the entry's payload to its metric vector.
+func (e HistoryEntry) metrics() []metric {
+	switch e.Kind {
+	case "bench":
+		return benchMetrics(*e.Bench)
+	case "load":
+		return loadMetrics(*e.Load)
+	case "traffic":
+		return trafficMetrics(*e.Traffic)
 	}
-	return rep
+	return nil
 }
 
 // NewBenchHistoryEntry wraps a bench record for the history file.

@@ -10,13 +10,13 @@ import (
 
 // This file is the live half of the observability layer: bounded,
 // downsampling time series the simulators feed every sampling interval,
-// and a bounded event log for discrete occurrences (governor decisions,
-// migration redistributions). Both are nil-safe like every other obs
-// type, and both are bounded so a multi-hour sweep cannot grow memory
-// without limit: a Series that fills its capacity halves itself by
-// merging adjacent points and doubles its accumulation stride, so the
-// buffer always covers the whole run at progressively coarser
-// resolution.
+// and a bounded event log for discrete occurrences (migration
+// redistributions, traffic wake/sleep changes). Both are nil-safe like
+// every other obs type, and both are bounded so a multi-hour sweep
+// cannot grow memory without limit: a Series that fills its capacity
+// halves itself by merging adjacent points and doubles its accumulation
+// stride, so the buffer always covers the whole run at progressively
+// coarser resolution.
 
 // Point is one stored time-series sample. T is simulated time (the unit
 // is whatever the writer used — hetsim uses simulated microseconds, the
@@ -213,8 +213,8 @@ func (ss *SeriesSet) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// Event is one discrete occurrence on the simulated timeline: a governor
-// decision, a migration redistribution, a phase change.
+// Event is one discrete occurrence on the simulated timeline: a
+// migration redistribution, a traffic wake/sleep change.
 type Event struct {
 	T    float64            `json:"t"` // simulated time (same axis as Series)
 	Cat  string             `json:"cat"`

@@ -92,9 +92,21 @@ echo "== paper-figure gate (hetcore all vs results_full.txt) =="
 # The committed results_full.txt is the output contract: every table of
 # a cold `hetcore all` must match it byte for byte. A second run on the
 # same -cache-dir must simulate nothing and print the same bytes.
-"$tmp/hetcore" all -seed 1 -jobs 2 -cache-dir "$tmp/all-cache" >"$tmp/all-cold.txt"
+"$tmp/hetcore" all -seed 1 -jobs 2 -cache-dir "$tmp/all-cache" \
+    -metrics-out "$tmp/all-cold.json" >"$tmp/all-cold.txt"
 cmp results_full.txt "$tmp/all-cold.txt" || {
     echo "hetcore all output differs from results_full.txt" >&2
+    exit 1
+}
+# A report diffed against itself at zero tolerance must pass, and must
+# print the same table every time (a warm report has no run records, so
+# the cold one is used).
+for i in 1 2; do
+    "$tmp/hetcore" diff -tol 0 -rate-tol 0 "$tmp/all-cold.json" "$tmp/all-cold.json" \
+        >"$tmp/all-selfdiff$i.txt"
+done
+cmp "$tmp/all-selfdiff1.txt" "$tmp/all-selfdiff2.txt" || {
+    echo "hetcore diff of a report against itself is not deterministic" >&2
     exit 1
 }
 "$tmp/hetcore" all -seed 1 -jobs 2 -cache-dir "$tmp/all-cache" \
