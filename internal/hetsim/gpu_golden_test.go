@@ -11,20 +11,43 @@ import (
 )
 
 // TestGPUResultGolden pins the exact GPUResult of every kernel on three
-// GPU designs: cycles, stall attribution, wavefront instructions, the
-// RF-cache hit rate and the energy breakdown (which the cache and DRAM
-// counts feed). Any change to wavefront scheduling, the memory
-// hierarchy or instruction synthesis that moves a single value fails
-// here. Regenerate (only for an intended model change) with
+// GPU designs, plus a subset of kernels on the three designs that take
+// the other register-file paths: BaseTFET (no RF cache, 0.5 GHz),
+// BaseHet (no RF cache, 2-cycle RF) and AdvHet-PartRF (the partitioned
+// RF). Each result holds cycles, stall attribution, wavefront
+// instructions, the RF-cache hit rate and the energy breakdown (which
+// the cache and DRAM counts feed). Any change to wavefront scheduling,
+// the memory hierarchy or instruction synthesis that moves a single
+// value fails here. Regenerate (only for an intended model change) with
 // 'go test ./internal/hetsim -run GPUResultGolden -update'.
 func TestGPUResultGolden(t *testing.T) {
+	checkGPUGolden(t, "gpu_results.golden.json",
+		[]string{"BaseCMOS", "AdvHet", "AdvHet-2X"}, gpu.Kernels())
+
+	var subset []gpu.Kernel
+	for _, name := range []string{"BinarySearch", "DCT", "Histogram",
+		"MatrixMultiplication", "PrefixSum", "SobelFilter"} {
+		k, err := gpu.KernelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subset = append(subset, k)
+	}
+	checkGPUGolden(t, "gpu_rf_paths.golden.json",
+		[]string{"BaseTFET", "BaseHet", "AdvHet-PartRF"}, subset)
+}
+
+// checkGPUGolden runs every kernel on every named config at seed 1 and
+// compares the results with testdata/file.
+func checkGPUGolden(t *testing.T, file string, configs []string, kernels []gpu.Kernel) {
+	t.Helper()
 	var got []GPUResult
-	for _, name := range []string{"BaseCMOS", "AdvHet", "AdvHet-2X"} {
+	for _, name := range configs {
 		cfg, err := GPUConfigByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range gpu.Kernels() {
+		for _, k := range kernels {
 			r, err := RunGPU(cfg, k, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, k.Name, err)
@@ -37,7 +60,7 @@ func TestGPUResultGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf = append(buf, '\n')
-	path := filepath.Join("testdata", "gpu_results.golden.json")
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
@@ -56,12 +79,12 @@ func TestGPUResultGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(wantRes) != len(got) {
-		t.Fatalf("golden has %d results, got %d", len(wantRes), len(got))
+		t.Fatalf("%s has %d results, got %d", file, len(wantRes), len(got))
 	}
 	for i := range got {
 		if got[i] != wantRes[i] {
-			t.Errorf("%s/%s differs from golden:\n got  %+v\n want %+v",
-				got[i].Config, got[i].Kernel, got[i], wantRes[i])
+			t.Errorf("%s/%s differs from %s:\n got  %+v\n want %+v",
+				got[i].Config, got[i].Kernel, file, got[i], wantRes[i])
 		}
 	}
 }
