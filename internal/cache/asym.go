@@ -139,13 +139,7 @@ func (a *AsymmetricDL1) FastHitRate() float64 {
 // MarkDirty sets the dirty bit of addr's line if present. It lets the
 // asymmetric wrapper preserve dirtiness across promotions/demotions.
 func (c *Cache) MarkDirty(addr uint64) {
-	la := c.lineAddr(addr)
-	base := c.setOf(la) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if l.valid() && l.tag == la {
-			l.meta |= lineDirty
-			return
-		}
+	if l := c.find(addr); l != nil {
+		l.meta |= lineDirty
 	}
 }

@@ -14,24 +14,28 @@ package cache
 
 import "fmt"
 
-// line is one cache line's tag state. meta packs the LRU sequence number
-// (the cache's access tick; higher = more recently used) above the dirty
-// and valid bits, so a line takes 16 bytes: the tag arrays of the shared
-// L3 are most of a run's memory.
+// line is one cache line's tag state, 16 bytes: the tag arrays of the
+// shared L3 are most of a run's memory.
+//
+// tag is the line address plus one for a valid line and 0 for an invalid
+// one, so one compare with lineAddr+1 checks both valid and tag (New
+// rejects 1-byte lines, whose line addresses span all of uint64). meta
+// packs the LRU sequence number (the cache's access tick; higher = more
+// recently used) above the dirty bit. Every access stamps at most one
+// line with a fresh tick, so the valid lines of a set have distinct
+// ticks and the least meta is the least recently used line.
 type line struct {
 	tag  uint64
 	meta uint64
 }
 
 const (
-	lineValid = 1 << iota
-	lineDirty
-	lruShift = iota
+	lineDirty = 1
+	lruShift  = 1
 )
 
-func (l *line) valid() bool { return l.meta&lineValid != 0 }
+func (l *line) valid() bool { return l.tag != 0 }
 func (l *line) dirty() bool { return l.meta&lineDirty != 0 }
-func (l *line) lru() uint64 { return l.meta >> lruShift }
 
 // Stats counts the activity of one cache array, consumed by the energy
 // model.
@@ -73,8 +77,8 @@ type Cache struct {
 }
 
 // New builds a cache of the given total size in bytes, associativity and
-// line size. Size must be a multiple of ways*lineSize and the set count a
-// power of two.
+// line size. Size must be a multiple of ways*lineSize, the set count a
+// power of two and the line size a power of two of at least 2 bytes.
 func New(name string, size, ways, lineSize int) (*Cache, error) {
 	if size <= 0 || ways <= 0 || lineSize <= 0 {
 		return nil, fmt.Errorf("cache %s: non-positive geometry (%d/%d/%d)", name, size, ways, lineSize)
@@ -88,6 +92,9 @@ func New(name string, size, ways, lineSize int) (*Cache, error) {
 	}
 	if lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("cache %s: line size %d not a power of two", name, lineSize)
+	}
+	if lineSize < 2 {
+		return nil, fmt.Errorf("cache %s: line size %d below 2 bytes", name, lineSize)
 	}
 	lb := uint(0)
 	for 1<<lb < lineSize {
@@ -161,103 +168,90 @@ type Result struct {
 // or write fill marks the line dirty. The returned Result describes any
 // eviction so the caller can propagate writebacks.
 func (c *Cache) Access(addr uint64, isWrite bool) Result {
-	la := c.lineAddr(addr)
-	set := c.setOf(la)
-	base := set * c.ways
+	tag := c.lineAddr(addr) + 1
+	set := c.set(tag - 1)
 	c.tick++
+	dirty := uint64(0)
 	if isWrite {
 		c.stats.Writes++
+		dirty = lineDirty
 	} else {
 		c.stats.Reads++
 	}
 
-	// Hit path.
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if l.valid() && l.tag == la {
-			l.meta = c.tick<<lruShift | l.meta&lineDirty | lineValid
-			if isWrite {
-				l.meta |= lineDirty
-			}
+	// One pass finds a hit or else the victim: the first invalid way,
+	// else the LRU one. An invalid line's meta is 0 and a valid line's
+	// at least 1<<lruShift, so the first way with the least meta is that
+	// victim.
+	vi, least := 0, ^uint64(0)
+	for i := range set {
+		l := &set[i]
+		if l.tag == tag {
+			l.meta = c.tick<<lruShift | l.meta&lineDirty | dirty
 			return Result{Hit: true}
 		}
+		if l.meta < least {
+			vi, least = i, l.meta
+		}
 	}
-
-	// Miss: pick victim (invalid way first, else LRU).
 	if isWrite {
 		c.stats.WriteMisses++
 	} else {
 		c.stats.ReadMisses++
 	}
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if !l.valid() {
-			victim = base + w
-			break
-		}
-		if c.data[victim].valid() && l.lru() < c.data[victim].lru() {
-			victim = base + w
-		}
-	}
+	v := &set[vi]
 	res := Result{}
-	v := &c.data[victim]
-	if v.valid() {
+	if v.tag != 0 {
 		res.Evicted = true
-		res.EvictedAddr = v.tag << c.lineBits
+		res.EvictedAddr = (v.tag - 1) << c.lineBits
 		res.EvictedDirty = v.dirty()
 		if v.dirty() {
 			c.stats.Writebacks++
 		}
 	}
-	v.tag, v.meta = la, c.tick<<lruShift|lineValid
-	if isWrite {
-		v.meta |= lineDirty
-	}
+	v.tag, v.meta = tag, c.tick<<lruShift|dirty
 	return res
+}
+
+// set returns the ways of line address la's set.
+func (c *Cache) set(la uint64) []line {
+	base := c.setOf(la) * c.ways
+	return c.data[base : base+c.ways : base+c.ways]
+}
+
+// find returns addr's line, or nil if it is not present.
+func (c *Cache) find(addr uint64) *line {
+	la := c.lineAddr(addr)
+	set := c.set(la)
+	for i := range set {
+		if set[i].tag == la+1 {
+			return &set[i]
+		}
+	}
+	return nil
 }
 
 // Probe reports whether addr is present without touching LRU state or
 // counters.
-func (c *Cache) Probe(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.setOf(la) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if l.valid() && l.tag == la {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Probe(addr uint64) bool { return c.find(addr) != nil }
 
 // Invalidate removes addr's line if present, returning whether it was
 // present and whether it was dirty (the caller owns any writeback).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	la := c.lineAddr(addr)
-	base := c.setOf(la) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if l.valid() && l.tag == la {
-			c.stats.Invalidates++
-			present, dirty = true, l.dirty()
-			*l = line{}
-			return
-		}
+	l := c.find(addr)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	c.stats.Invalidates++
+	dirty = l.dirty()
+	*l = line{}
+	return true, dirty
 }
 
 // CleanLine clears the dirty bit of addr's line if present (used when an
 // owner is downgraded to sharer after forwarding data).
 func (c *Cache) CleanLine(addr uint64) {
-	la := c.lineAddr(addr)
-	base := c.setOf(la) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if l.valid() && l.tag == la {
-			l.meta &^= lineDirty
-			return
-		}
+	if l := c.find(addr); l != nil {
+		l.meta &^= lineDirty
 	}
 }

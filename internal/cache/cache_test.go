@@ -18,6 +18,8 @@ func TestNewValidation(t *testing.T) {
 		{33 * 1024, 8, 64, false}, // not divisible
 		{24 * 1024, 8, 64, false}, // 48 sets, not power of two
 		{32 * 1024, 8, 96, false}, // line not power of two
+		{64, 1, 1, false},         // 1-byte lines: line address + 1 overflows
+		{64, 1, 2, true},
 	}
 	for _, c := range cases {
 		_, err := New("t", c.size, c.ways, c.line)

@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -88,5 +91,64 @@ func TestRunLoadFailures(t *testing.T) {
 	if _, err := RunLoad(LoadConfig{Addr: d.Addr(), Workload: "no-such-workload",
 		Duration: 50 * time.Millisecond}); err == nil {
 		t.Error("RunLoad with an unknown workload succeeded")
+	}
+}
+
+// TestRunLoadColdKeysStayCold: a second run against the same daemon
+// mints cold keys of its own, so no cold request of either run is a
+// cache hit.
+func TestRunLoadColdKeysStayCold(t *testing.T) {
+	d := startDaemon(t, DaemonConfig{Jobs: 2})
+	for run := 1; run <= 2; run++ {
+		rec, err := RunLoad(LoadConfig{
+			Addr: d.Addr(), Duration: 200 * time.Millisecond,
+			Concurrency: 2, ColdFraction: 1, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.ColdJobs == 0 || rec.Errors != 0 {
+			t.Fatalf("run %d: %d cold jobs, %d errors", run, rec.ColdJobs, rec.Errors)
+		}
+		if rec.CacheHits != 0 {
+			t.Errorf("run %d: %d of %d cold requests hit the daemon's cache",
+				run, rec.CacheHits, rec.Requests)
+		}
+	}
+}
+
+// TestRunLoadOpenLoopKeepsEveryArrival: against a server slower than
+// the arrival rate, every scheduled arrival is either sent or shed,
+// none lost, even when the arrival loop falls behind.
+func TestRunLoadOpenLoopKeepsEveryArrival(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case PathHealth:
+			json.NewEncoder(w).Encode(HealthResponse{OK: true, Stamp: Stamp()})
+		case PathJobs:
+			time.Sleep(20 * time.Millisecond)
+			json.NewEncoder(w).Encode(JobResponse{Stamp: Stamp()})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+
+	const rate, window = 20000, 200 * time.Millisecond
+	rec, err := RunLoad(LoadConfig{
+		Addr: srv.URL, Duration: window, Concurrency: 2,
+		RatePerSec: rate, ColdFraction: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arrival i is due at i/rate for every i/rate < window.
+	const arrivals = rate * 200 / 1000
+	if rec.Requests+rec.Shed != arrivals {
+		t.Errorf("requests(%d) + shed(%d) = %d, want the %d scheduled arrivals",
+			rec.Requests, rec.Shed, rec.Requests+rec.Shed, arrivals)
+	}
+	if rec.Requests == 0 || rec.Shed == 0 || rec.Errors != 0 {
+		t.Errorf("want some sent, some shed and no errors: %+v", rec)
 	}
 }
