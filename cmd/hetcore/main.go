@@ -1,62 +1,33 @@
 // Command hetcore reproduces the tables and figures of "HetCore:
-// TFET-CMOS Hetero-Device Architecture for CPUs and GPUs" (ISCA 2018).
+// TFET-CMOS Hetero-Device Architecture for CPUs and GPUs" (ISCA 2018),
+// and holds the tools around that reproduction: sensitivity sweeps of
+// the AdvHet knobs, trace inspection, a load generator for hetserved
+// daemons and the regression gates.
 //
 // Usage:
 //
-//	hetcore list
-//	hetcore run -exp fig7 [-instr N] [-seed S] [-workloads a,b] [-kernels X,Y] [-csv]
-//	hetcore all [-instr N] [-seed S] [-csv]
-//	hetcore soc [-budget-w W] [-budget-mm2 A] [-breakdown] [-accel] [...]
-//	hetcore traffic [-trace T] [-policy P] [-config C] [-slo-ms MS] [-budget-w W] [-o F]
-//	hetcore bench [-instr N] [-o BENCH_sim_rate.json] [-history F]
-//	hetcore hotspots [-device cpu|gpu] [-config C] [-workload W] [-o F]
-//	hetcore trend [-history F] [-window N] [-tol PCT] [-rate-tol PCT]
-//	hetcore diff [-tol PCT] [-rate-tol PCT] old.json new.json
-//	hetcore version
+//	hetcore <command> [flags]
 //
-// "run" executes one experiment; "all" executes the full evaluation in
-// paper order; "soc" searches every CMOS-core/TFET-core/GPU-CU/
-// accelerator mix that fits an area/power budget and prints the Pareto
-// front (time vs energy; -accel adds the class-best comparison of
-// cores vs GPU vs CMOS/TFET accelerators); "traffic" steps a core mix
-// through a diurnal/bursty/flat request trace under pluggable wake/
-// sleep + DVFS scheduling policies and reports energy per request and
-// latency quantiles against the SLO; "bench" measures the
-// simulation rate of this host (and with
-// -history appends the record to a BENCH_history.jsonl trend file);
-// "hotspots" runs one workload under CPU+heap profile and prints where
-// the simulator's own CPU time and allocations go, ranked by cumulative
-// and flat CPU time and by allocation (schema hetcore.prof/v1 with
-// -o/-json);
-// "trend" compares the newest BENCH_history.jsonl entries against the
-// median of their predecessors and exits non-zero on a regression;
-// "diff" compares two -metrics-out reports, two bench records or two
-// hetload BENCH_load.json records and exits non-zero when a metric
-// regressed beyond its threshold;
-// "version" prints the internal/dist cache/wire compatibility stamp.
-// -cache-dir makes every simulated point persistent (content-addressed
-// under SHA-256 of the engine key plus the version stamp), so repeated
-// invocations and CI reruns skip simulation entirely; -remote fans jobs
-// out to hetserved daemons as extra engine lanes with transparent local
-// fallback. Both preserve byte-identical output.
+// "hetcore help" lists the commands; "hetcore <command> -h" prints the
+// flags of one command with their defaults.
+//
+// The commands that plan their runs as engine jobs share -jobs (the
+// worker-pool width), -cache-dir (every simulated point persists,
+// content-addressed under SHA-256 of the engine key plus the version
+// stamp) and, where their jobs can run remotely, -remote (hetserved
+// daemons as extra engine lanes with local fallback). None of them
+// changes the output. The observability flags (-metrics-out, -trace-out, -progress,
+// -serve, -cpuprofile, -memprofile) record every run a command makes.
 // Figures 7-9 and 13-14 simulate the 14 CPU workloads on every
 // configuration, so expect tens of seconds at the default instruction
 // budget.
-//
-// Observability (run/all): -metrics-out writes a JSON report with a
-// manifest, a metrics snapshot and one structured record per simulation
-// run (including the top-down cycle attribution); -trace-out writes a
-// Chrome trace loadable in ui.perfetto.dev; -progress prints heartbeat
-// lines to stderr; -serve starts the live telemetry dashboard (HTML,
-// /metrics.json, /metrics Prometheus text, /series, /events) on the
-// given address for the duration of the run; -cpuprofile/-memprofile
-// write pprof profiles.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -69,139 +40,84 @@ import (
 	"hetcore/internal/traffic"
 )
 
+// command is one hetcore subcommand.
+type command struct {
+	name, summary string
+	run           func(args []string) error
+}
+
+// commands are the subcommands in the order "hetcore help" lists them.
+var commands = []command{
+	{"list", "list all experiments", list},
+	{"run", "run one experiment (run -exp fig7)", run},
+	{"all", "run every experiment in paper order", all},
+	{"soc", "budgeted SoC design-space search: Pareto front of core/GPU/accelerator mixes", socCmd},
+	{"traffic", "diurnal traffic scenarios: core mixes x scheduling policies", trafficCmd},
+	{"sweep", "sensitivity sweep of one AdvHet knob (sweep -sweep fastsize)", sweep},
+	{"trace", "inspect or snapshot a synthetic workload trace (trace stats|dump)", traceCmd},
+	{"load", "drive an open- or closed-loop job stream at a hetserved daemon", load},
+	{"bench", "measure this host's simulation rate", bench},
+	{"hotspots", "profile one workload: top functions by cumulative/flat CPU and allocation", hotspots},
+	{"trend", "gate the newest BENCH_history.jsonl entries on their history", trend},
+	{"diff", "compare two reports/bench/load records, exit 1 on regression", diff},
+	{"version", "print the cache/wire version stamp", version},
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "list":
-		err = list()
-	case "run":
-		err = run(os.Args[2:])
-	case "all":
-		err = all(os.Args[2:])
-	case "soc":
-		err = socCmd(os.Args[2:])
-	case "traffic":
-		err = trafficCmd(os.Args[2:])
-	case "bench":
-		err = bench(os.Args[2:])
-	case "hotspots":
-		err = hotspots(os.Args[2:])
-	case "trend":
-		err = trend(os.Args[2:])
-	case "diff":
-		err = diff(os.Args[2:])
-	case "version":
-		version()
-	case "-h", "--help", "help":
+	name := os.Args[1]
+	if name == "help" || name == "-h" || name == "--help" {
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "hetcore: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetcore:", err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name == name {
+			if err := c.run(os.Args[2:]); err != nil {
+				fmt.Fprintln(os.Stderr, "hetcore:", err)
+				os.Exit(1)
+			}
+			return
+		}
 	}
+	fmt.Fprintf(os.Stderr, "hetcore: unknown command %q\n", name)
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `hetcore - HetCore (ISCA 2018) reproduction harness
+	fmt.Fprint(os.Stderr, "hetcore - HetCore (ISCA 2018) reproduction harness\n\nCommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.summary)
+	}
+	fmt.Fprint(os.Stderr, "\nRun 'hetcore <command> -h' for the flags of a command and their defaults.\n")
+}
 
-Commands:
-  list                 list all experiments
-  run -exp <id> [...]  run one experiment (e.g. fig7, table1)
-  all [...]            run every experiment in paper order
-  soc [...]            budgeted SoC design-space search (Pareto front)
-  traffic [...]        diurnal traffic scenarios: mixes x scheduling policies
-  bench [...]          measure this host's simulation rate
-  hotspots [...]       profile one workload: top functions by cumulative/flat CPU and allocation
-  trend [...]          gate the newest BENCH_history.jsonl entries on their history
-  diff old new         compare two reports/bench/load records, exit 1 on regression
-  version              print the cache/wire version stamp
+// tableFlags are the flags of the commands that run experiments and
+// print their tables.
+type tableFlags struct {
+	sim     *harness.SimFlags
+	ob      *harness.ObsFlags
+	csv, js *bool
+}
 
-Flags for run/all:
-  -instr N             total instructions per CPU run (default 400000)
-  -seed S              workload synthesis seed (default 1)
-  -workloads a,b,c     restrict CPU workloads
-  -kernels X,Y         restrict GPU kernels
-  -jobs N              concurrent simulation jobs (0 = NumCPU); output is
-                       byte-identical for any value
-  -cache-dir D         persistent result cache; a repeated invocation
-                       simulates nothing and produces identical output
-  -remote H:P,...      hetserved workers used as extra engine lanes (with
-                       local fallback); output stays byte-identical
-  -csv                 emit CSV instead of aligned text
-  -json                emit JSON
-  -metrics-out F       write metrics + run-record report JSON
-  -trace-out F         write Chrome trace JSON (open in ui.perfetto.dev)
-  -progress            print progress heartbeats to stderr
-  -serve ADDR          serve the live telemetry dashboard (e.g. :8090)
-  -cpuprofile F        write pprof CPU profile
-  -memprofile F        write pprof heap profile
-
-Flags for soc (plus all run/all flags above):
-  -budget-w W          SoC power budget in watts (default 20)
-  -budget-mm2 A        SoC area budget in mm^2 (default 50)
-  -breakdown           also print the per-workload time/energy breakdown
-                       of every Pareto-front mix
-  -accel               also print the class-best comparison (cores-only vs
-                       GPU-only vs CMOS/TFET accelerator mixes, by ED²)
-
-Flags for traffic (plus all run/all flags above):
-  -trace T             synthetic trace (diurnal, bursty, flat) or a
-                       .csv/.jsonl trace file (epoch_sec,rps rows)
-  -policy P,Q          restrict scheduling policies (naive, util, cacheaware)
-  -config M,N          core mixes to serve the trace (default c4t4g0,c8t0g0)
-  -slo-ms MS           latency SLO in milliseconds (default 50)
-  -budget-w W          chip power budget in watts (default uncapped)
-  -req-instr N         instructions per request (default 2000000)
-  -o F                 write the hetcore.traffic/v1 report JSON here
-  -history F           append the report to this BENCH_history.jsonl
-
-Flags for bench:
-  -instr N             CPU instruction budget (default 2000000)
-  -seed S              workload synthesis seed
-  -jobs N              worker-pool width for the full-suite measurement
-  -o F                 output file (default BENCH_sim_rate.json)
-  -history F           also append the record to this BENCH_history.jsonl
-
-Flags for hotspots:
-  -device cpu|gpu      simulator to profile (default cpu)
-  -config C            architecture configuration (default BaseCMOS)
-  -workload W          CPU workload / GPU kernel (default barnes / MatrixMultiplication)
-  -instr N             CPU instruction budget (default 2000000)
-  -seed S              workload synthesis seed
-  -top N               flat table depth (default 10); the cumulative table
-                       lists 3N, enough to reach the pipeline phases under
-                       Core.step
-  -o F                 write the hetcore.prof/v1 report JSON here
-  -json                print the report JSON to stdout instead of the table
-
-Flags for trend:
-  -history F           history file (default BENCH_history.jsonl)
-  -window N            compare against the median of the last N prior entries (0 = all)
-  -tol PCT             tolerance for deterministic metrics, percent (default 0.1)
-  -rate-tol PCT        tolerance for host-timing metrics, percent (default 25)
-  -q                   only print regressions and the verdict
-
-Flags for diff:
-  -tol PCT             tolerance for deterministic metrics, percent (default 0.1)
-  -rate-tol PCT        tolerance for host-timing metrics, percent (default 25)
-  -q                   only print regressions and the verdict
-`)
+func addTableFlags(fs *flag.FlagSet) tableFlags {
+	return tableFlags{
+		sim: harness.AddSimFlags(fs),
+		ob:  harness.AddObsFlags(fs),
+		csv: fs.Bool("csv", false, "emit CSV"),
+		js:  fs.Bool("json", false, "emit JSON"),
+	}
 }
 
 // emit writes a table in the selected format.
-func emit(t harness.Table, csv, js bool) error {
+func (f tableFlags) emit(t harness.Table) error {
 	switch {
-	case js:
+	case *f.js:
 		return t.JSON(os.Stdout)
-	case csv:
+	case *f.csv:
 		return t.CSV(os.Stdout)
 	default:
 		return t.Format(os.Stdout)
@@ -213,15 +129,16 @@ func emit(t harness.Table, csv, js bool) error {
 // persistent cache entry and checked against every -remote worker: two
 // builds with different stamps never share results, so stale caches
 // self-invalidate on any code or device-table change.
-func version() {
+func version([]string) error {
 	fmt.Println(dist.Stamp())
 	fmt.Printf("  cache schema:      v%d\n", dist.CacheVersion)
 	fmt.Printf("  device-table hash: %s\n", dist.DeviceTableHash())
 	fmt.Printf("  report schema:     %s\n", obs.SchemaVersion)
 	fmt.Printf("  go:                %s\n", runtime.Version())
+	return nil
 }
 
-func list() error {
+func list([]string) error {
 	for _, e := range harness.Experiments() {
 		fmt.Printf("%-10s %-14s %s\n", e.ID, "("+e.PaperRef+")", e.Title)
 	}
@@ -229,12 +146,9 @@ func list() error {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore run", flag.ExitOnError)
 	exp := fs.String("exp", "", "experiment ID (see 'hetcore list')")
-	sim := harness.AddSimFlags(fs)
-	ob := harness.AddObsFlags(fs)
-	csv := fs.Bool("csv", false, "emit CSV")
-	js := fs.Bool("json", false, "emit JSON")
+	f := addTableFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -245,65 +159,43 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	sess, err := ob.Start(os.Args)
+	sess, opts, err := f.sim.Start(f.ob, os.Args, e.ID)
 	if err != nil {
 		return err
 	}
-	sess.Experiments = []string{e.ID}
-	sess.Seed = sim.Seed
-	opts := sim.Options()
-	opts.Obs = sess.Obs
-	opts, err = opts.WithSharedEngine()
-	if err != nil {
-		return err
-	}
-	sess.Engine = opts.Engine
 	t, err := harness.RunExperiment(e, opts)
 	if err != nil {
 		return err
 	}
-	if err := emit(t, *csv, *js); err != nil {
+	if err := f.emit(t); err != nil {
 		return err
 	}
 	return sess.Close()
 }
 
 func all(args []string) error {
-	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	sim := harness.AddSimFlags(fs)
-	ob := harness.AddObsFlags(fs)
-	csv := fs.Bool("csv", false, "emit CSV")
-	js := fs.Bool("json", false, "emit JSON")
+	fs := flag.NewFlagSet("hetcore all", flag.ExitOnError)
+	f := addTableFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sess, err := ob.Start(os.Args)
+	sess, opts, err := f.sim.Start(f.ob, os.Args)
 	if err != nil {
 		return err
 	}
-	sess.Seed = sim.Seed
-	opts := sim.Options()
-	opts.Obs = sess.Obs
-	// One engine for the whole evaluation: figures sharing a simulation
-	// matrix (fig7/8/9, fig10/11/12, cycles...) simulate it once.
-	opts, err = opts.WithSharedEngine()
-	if err != nil {
-		return err
-	}
-	sess.Engine = opts.Engine
 	for _, e := range harness.Experiments() {
 		sess.Experiments = append(sess.Experiments, e.ID)
 		t, err := harness.RunExperiment(e, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		if *csv || *js {
+		if *f.csv || *f.js {
 			fmt.Printf("# %s (%s)\n", e.ID, e.PaperRef)
 		}
-		if err := emit(t, *csv, *js); err != nil {
+		if err := f.emit(t); err != nil {
 			return err
 		}
-		if *csv || *js {
+		if *f.csv || *f.js {
 			fmt.Println()
 		}
 	}
@@ -316,15 +208,12 @@ func all(args []string) error {
 // and compositions cache like any other experiment) and the Pareto
 // front on (time, energy) is printed.
 func socCmd(args []string) error {
-	fs := flag.NewFlagSet("soc", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore soc", flag.ExitOnError)
 	budgetW := fs.Float64("budget-w", 0, "power budget in watts (0 = default 20)")
 	budgetMM2 := fs.Float64("budget-mm2", 0, "area budget in mm^2 (0 = default 50)")
 	breakdown := fs.Bool("breakdown", false, "also print the per-workload breakdown of Pareto mixes")
 	accel := fs.Bool("accel", false, "also print the class-best comparison (cores vs GPU vs accelerators)")
-	sim := harness.AddSimFlags(fs)
-	ob := harness.AddObsFlags(fs)
-	csv := fs.Bool("csv", false, "emit CSV")
-	js := fs.Bool("json", false, "emit JSON")
+	f := addTableFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -338,24 +227,15 @@ func socCmd(args []string) error {
 	if err := budget.Validate(); err != nil {
 		return err
 	}
-	sess, err := ob.Start(os.Args)
+	sess, opts, err := f.sim.Start(f.ob, os.Args, "soc")
 	if err != nil {
 		return err
 	}
-	sess.Experiments = []string{"soc"}
-	sess.Seed = sim.Seed
-	opts := sim.Options()
-	opts.Obs = sess.Obs
-	opts, err = opts.WithSharedEngine()
-	if err != nil {
-		return err
-	}
-	sess.Engine = opts.Engine
 	t, err := harness.SoCPareto(opts, budget)
 	if err != nil {
 		return err
 	}
-	if err := emit(t, *csv, *js); err != nil {
+	if err := f.emit(t); err != nil {
 		return err
 	}
 	if *breakdown {
@@ -364,10 +244,10 @@ func socCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		if !*csv && !*js {
+		if !*f.csv && !*f.js {
 			fmt.Println()
 		}
-		if err := emit(bt, *csv, *js); err != nil {
+		if err := f.emit(bt); err != nil {
 			return err
 		}
 	}
@@ -377,10 +257,10 @@ func socCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		if !*csv && !*js {
+		if !*f.csv && !*f.js {
 			fmt.Println()
 		}
-		if err := emit(at, *csv, *js); err != nil {
+		if err := f.emit(at); err != nil {
 			return err
 		}
 	}
@@ -393,7 +273,7 @@ func socCmd(args []string) error {
 // accounting is printed (and optionally written as a hetcore.traffic/v1
 // report).
 func trafficCmd(args []string) error {
-	fs := flag.NewFlagSet("traffic", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore traffic", flag.ExitOnError)
 	traceFlag := fs.String("trace", "diurnal", "synthetic trace (diurnal, bursty, flat) or a .csv/.jsonl trace file")
 	policyFlag := fs.String("policy", "", "comma-separated scheduling policies (default: all)")
 	configFlag := fs.String("config", "", "comma-separated core mixes (default: "+strings.Join(traffic.DefaultMixes, ",")+")")
@@ -402,10 +282,7 @@ func trafficCmd(args []string) error {
 	reqInstr := fs.Uint64("req-instr", 0, "instructions per request (0 = default 2000000)")
 	out := fs.String("o", "", "write the hetcore.traffic/v1 report JSON here")
 	history := fs.String("history", "", "append the report to this BENCH_history.jsonl")
-	sim := harness.AddSimFlags(fs)
-	ob := harness.AddObsFlags(fs)
-	csv := fs.Bool("csv", false, "emit CSV")
-	js := fs.Bool("json", false, "emit JSON")
+	f := addTableFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -428,19 +305,10 @@ func trafficCmd(args []string) error {
 	}
 	knobs := harness.TrafficKnobs{SLOSec: *sloMS / 1e3, BudgetW: *budgetW, ReqInstr: *reqInstr}
 
-	sess, err := ob.Start(os.Args)
+	sess, opts, err := f.sim.Start(f.ob, os.Args, "traffic")
 	if err != nil {
 		return err
 	}
-	sess.Experiments = []string{"traffic"}
-	sess.Seed = sim.Seed
-	opts := sim.Options()
-	opts.Obs = sess.Obs
-	opts, err = opts.WithSharedEngine()
-	if err != nil {
-		return err
-	}
-	sess.Engine = opts.Engine
 	sess.Obs.SetPhase("traffic")
 	rep, err := harness.TrafficReport(opts, tr, fileTrace, mixes, policies, knobs)
 	if err != nil {
@@ -450,7 +318,7 @@ func trafficCmd(args []string) error {
 		fmt.Sprintf("Traffic scenarios on trace %s (%d epochs)", tr.Name, len(tr.RPS)),
 		fmt.Sprintf("SLO %.0f ms; energy per request includes leakage of every awake core.", rep.SLOMS),
 		rep.Scenarios)
-	if err := emit(t, *csv, *js); err != nil {
+	if err := f.emit(t); err != nil {
 		return err
 	}
 	if *out != "" {
@@ -469,8 +337,52 @@ func trafficCmd(args []string) error {
 	return sess.Close()
 }
 
+// load drives a job stream at one hetserved daemon and reports the
+// client-observed throughput and latency quantiles. Hot keys are warmed
+// before the window starts; cold keys come from a seed range no
+// experiment uses. -o writes the BENCH_load.json record that
+// "hetcore diff" gates against a baseline; -history feeds "hetcore
+// trend".
+func load(args []string) error {
+	fs := flag.NewFlagSet("hetcore load", flag.ExitOnError)
+	var cfg dist.LoadConfig
+	fs.StringVar(&cfg.Addr, "addr", "", "daemon address (host:port or http:// URL; required)")
+	fs.DurationVar(&cfg.Duration, "duration", 3*time.Second, "measured window")
+	fs.IntVar(&cfg.Concurrency, "concurrency", 8, "closed-loop workers / open-loop in-flight bound")
+	fs.Float64Var(&cfg.RatePerSec, "rate", 0, "open-loop arrivals per second (0 = closed loop)")
+	fs.Float64Var(&cfg.ColdFraction, "cold", 0.1, "fraction of requests with never-seen keys")
+	fs.StringVar(&cfg.Workload, "workload", "barnes", "trace workload the jobs summarise")
+	fs.Uint64Var(&cfg.Instr, "instr", 2000, "per-job instruction budget")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "request-stream seed")
+	fs.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-request timeout")
+	out := fs.String("o", "", "write the BENCH_load.json record to this file")
+	history := fs.String("history", "", "append the record to this BENCH_history.jsonl")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if cfg.Addr == "" {
+		return fmt.Errorf("load requires -addr")
+	}
+	rec, err := dist.RunLoad(cfg)
+	if err != nil {
+		return err
+	}
+	if err := rec.Format(os.Stdout); err != nil {
+		return err
+	}
+	if *out != "" {
+		if err := harness.WriteFile(*out, rec.WriteJSON); err != nil {
+			return err
+		}
+	}
+	if *history != "" {
+		return harness.AppendHistory(*history, harness.NewLoadHistoryEntry(rec, time.Now().Unix()))
+	}
+	return nil
+}
+
 func bench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore bench", flag.ExitOnError)
 	instr := fs.Uint64("instr", 0, "CPU instruction budget (0 = 2000000)")
 	seed := fs.Uint64("seed", 1, "workload synthesis seed")
 	out := fs.String("o", "BENCH_sim_rate.json", "output file")
@@ -484,15 +396,7 @@ func bench(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := harness.WriteFile(*out, rec.WriteJSON); err != nil {
 		return err
 	}
 	if *history != "" {
@@ -515,7 +419,7 @@ func bench(args []string) error {
 // hotspots profiles one workload run under CPU + heap pprof, reported
 // as a table or hetcore.prof/v1 JSON.
 func hotspots(args []string) error {
-	fs := flag.NewFlagSet("hotspots", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore hotspots", flag.ExitOnError)
 	device := fs.String("device", "cpu", "simulator to profile: cpu or gpu")
 	config := fs.String("config", "BaseCMOS", "architecture configuration")
 	workload := fs.String("workload", "", "CPU workload / GPU kernel (default barnes / MatrixMultiplication)")
@@ -534,25 +438,18 @@ func hotspots(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
+	writeJSON := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		return enc.Encode(rep)
+	}
+	if *out != "" {
+		if err := harness.WriteFile(*out, writeJSON); err != nil {
 			return err
 		}
 	}
 	if *js {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+		return writeJSON(os.Stdout)
 	}
 	fmt.Print(rep.Format())
 	if *out != "" {
@@ -564,7 +461,7 @@ func hotspots(args []string) error {
 // trend gates the newest history entries against the median of their
 // predecessors.
 func trend(args []string) error {
-	fs := flag.NewFlagSet("trend", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore trend", flag.ExitOnError)
 	history := fs.String("history", "BENCH_history.jsonl", "history file (JSONL)")
 	window := fs.Int("window", 0, "median window: last N prior entries per kind (0 = all)")
 	tol := fs.Float64("tol", 0.1, "tolerance for deterministic metrics, percent")
@@ -604,8 +501,10 @@ func trend(args []string) error {
 	return nil
 }
 
+// diff compares two -metrics-out reports, two bench records or two
+// load records, and fails when a metric regressed beyond its threshold.
 func diff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("hetcore diff", flag.ExitOnError)
 	tol := fs.Float64("tol", 0.1, "tolerance for deterministic metrics, percent")
 	rateTol := fs.Float64("rate-tol", 25, "tolerance for host-timing metrics, percent")
 	quiet := fs.Bool("q", false, "only print regressions and the verdict")

@@ -22,13 +22,13 @@
 // net/http/pprof handlers under /debug/pprof/) are mounted on the same
 // listener, so an operator can watch a fleet worker with a browser —
 // or grab a labelled CPU profile from it under load — while it serves.
-// cmd/hetload drives synthetic load at a daemon and gates its latency
+// `hetcore load` drives synthetic load at a daemon and gates its latency
 // quantiles.
 //
-// Clients (hetcore, hetsweep, hetrace) point -remote at one or more
-// daemons; the stamp in every response lets a client reject workers
-// built from different code or device tables, keeping results
-// byte-identical to a purely local run.
+// Clients (`hetcore run`, `all`, `soc`, `traffic` and `trace stats`)
+// point -remote at one or more daemons; the stamp in every response
+// lets a client reject workers built from different code or device
+// tables, keeping results byte-identical to a purely local run.
 //
 // -addr :0 picks a free port; -addr-file writes the bound address to a
 // file once listening, which scripts use to discover the port.

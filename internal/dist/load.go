@@ -39,8 +39,8 @@ type LoadConfig struct {
 	// open-loop test.
 	RatePerSec float64
 	// ColdFraction is the fraction of requests carrying a never-seen key
-	// that forces a simulation, the rest hitting the warmed cache
-	// (default 0.1).
+	// that forces a simulation, the rest hitting the warmed cache. Zero
+	// sends no cold keys; a value outside [0, 1] becomes 0.1.
 	ColdFraction float64
 	// Timeout bounds one request (default 30s).
 	Timeout time.Duration
@@ -329,11 +329,12 @@ func (g *loadGen) pickKey(rng *rand.Rand) engine.Key {
 }
 
 // doOne issues one measured request and folds the outcome into the
-// run's instruments.
-func (g *loadGen) doOne(k engine.Key) {
-	start := time.Now()
+// run's instruments. Latency runs from due, the time the request should
+// have been sent: an open-loop arrival that fires late still counts the
+// time it waited, so a server that falls behind cannot hide it.
+func (g *loadGen) doOne(k engine.Key, due time.Time) {
 	resp, err := g.postJob(k)
-	latencyMS := float64(time.Since(start).Nanoseconds()) / 1e6
+	latencyMS := float64(time.Since(due).Nanoseconds()) / 1e6
 	g.reg.Histogram("load.latency_ms", serverLatencyBuckets).Observe(latencyMS)
 	switch {
 	case err != nil, resp.Error != "", resp.Stamp != Stamp():
@@ -353,7 +354,7 @@ func (g *loadGen) closedLoop(start time.Time) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(g.cfg.Seed + int64(i)))
 			for time.Now().Before(deadline) {
-				g.doOne(g.pickKey(rng))
+				g.doOne(g.pickKey(rng), time.Now())
 			}
 		}(i)
 	}
@@ -387,11 +388,11 @@ func (g *loadGen) openLoop(start time.Time) {
 		// lock and the sequence is deterministic.
 		k := g.pickKey(rng)
 		wg.Add(1)
-		go func(k engine.Key) {
+		go func(k engine.Key, due time.Time) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			g.doOne(k)
-		}(k)
+			g.doOne(k, due)
+		}(k, start.Add(due))
 	}
 	wg.Wait()
 }

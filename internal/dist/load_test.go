@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"hetcore/internal/engine"
+	"hetcore/internal/obs"
 )
 
 // TestRunLoadClosedLoop: a short closed-loop run against a live daemon
@@ -74,6 +77,42 @@ func TestRunLoadOpenLoop(t *testing.T) {
 	}
 	if rec.ColdJobs != 0 {
 		t.Errorf("cold jobs = %d with cold fraction 0", rec.ColdJobs)
+	}
+}
+
+// TestRunLoadZeroColdFraction: a LoadConfig that leaves ColdFraction
+// at zero sends no cold keys; the 0.1 default belongs to the CLI flag.
+func TestRunLoadZeroColdFraction(t *testing.T) {
+	d := startDaemon(t, DaemonConfig{Jobs: 1})
+	rec, err := RunLoad(LoadConfig{Addr: d.Addr(), Duration: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Requests == 0 || rec.Errors != 0 {
+		t.Fatalf("want requests and no errors: %+v", rec)
+	}
+	if rec.ColdFraction != 0 || rec.ColdJobs != 0 || rec.CacheHits != rec.Requests {
+		t.Errorf("zero ColdFraction: cold fraction %g, %d cold jobs, %d of %d requests hit",
+			rec.ColdFraction, rec.ColdJobs, rec.CacheHits, rec.Requests)
+	}
+}
+
+// TestDoOneTimesFromDue: a request sent 50 ms after it fell due, to a
+// server that answers at once, records the 50 ms it waited to be sent
+// (no coordinated omission).
+func TestDoOneTimesFromDue(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(JobResponse{Stamp: Stamp()})
+	}))
+	defer srv.Close()
+	g := &loadGen{base: srv.URL, client: srv.Client(), reg: obs.NewRegistry()}
+	g.doOne(engine.Key{Device: "trace"}, time.Now().Add(-50*time.Millisecond))
+	h := g.reg.Snapshot().Histograms["load.latency_ms"]
+	if h.Count != 1 || h.Sum < 50 {
+		t.Errorf("recorded %d request(s) taking %.3f ms, want 1 taking >= 50 ms", h.Count, h.Sum)
+	}
+	if g.errs.Load() != 0 {
+		t.Errorf("%d errors against a healthy server", g.errs.Load())
 	}
 }
 

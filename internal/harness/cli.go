@@ -33,7 +33,7 @@ func AddSimFlags(fs *flag.FlagSet) *SimFlags {
 	fs.StringVar(&s.Workloads, "workloads", "", "comma-separated CPU workload subset")
 	fs.StringVar(&s.Kernels, "kernels", "", "comma-separated GPU kernel subset")
 	AddJobsFlag(fs, &s.Jobs)
-	addDistFlags(fs, &s.Dist)
+	AddDistFlags(fs, &s.Dist)
 	return &s
 }
 
@@ -50,36 +50,46 @@ type DistFlags struct {
 }
 
 // AddDistFlags registers the shared distribution flags on fs.
-func AddDistFlags(fs *flag.FlagSet) *DistFlags {
-	var d DistFlags
-	addDistFlags(fs, &d)
-	return &d
-}
-
-func addDistFlags(fs *flag.FlagSet, d *DistFlags) {
-	fs.StringVar(&d.CacheDir, "cache-dir", "", "persistent result-cache directory; repeated invocations skip already-simulated jobs")
+func AddDistFlags(fs *flag.FlagSet, d *DistFlags) {
+	AddCacheDirFlag(fs, &d.CacheDir)
 	fs.StringVar(&d.Remote, "remote", "", "comma-separated hetserved workers (host:port) used as extra engine lanes")
 }
 
-// RemoteList returns the parsed -remote worker addresses.
-func (d *DistFlags) RemoteList() []string {
-	if d.Remote == "" {
-		return nil
-	}
-	return strings.Split(d.Remote, ",")
+// AddCacheDirFlag registers the persistent result-cache flag on fs, for
+// commands whose jobs never execute remotely.
+func AddCacheDirFlag(fs *flag.FlagSet, dir *string) {
+	fs.StringVar(dir, "cache-dir", "", "persistent result-cache directory; repeated invocations skip already-simulated jobs")
 }
 
-// Options converts the parsed flags into experiment options.
-func (s *SimFlags) Options() Options {
+// Start opens the observability session of one CLI invocation and the
+// engine that every experiment of the invocation shares, so experiments
+// sharing a simulation matrix (fig7/8/9, fig10/11/12, cycles...)
+// simulate it once. The returned options carry the parsed flags, the
+// session's Observer and the engine. command and experiments go into
+// the report manifest; the caller may append more experiments.
+func (s *SimFlags) Start(ob *ObsFlags, command []string, experiments ...string) (*ObsSession, Options, error) {
+	sess, err := ob.Start(command)
+	if err != nil {
+		return nil, Options{}, err
+	}
+	sess.Seed = s.Seed
+	sess.Experiments = experiments
 	opts := Options{Instructions: s.Instructions, Seed: s.Seed, Jobs: s.Jobs,
-		CacheDir: s.Dist.CacheDir, Remote: s.Dist.RemoteList()}
+		CacheDir: s.Dist.CacheDir, Obs: sess.Obs}
+	if s.Dist.Remote != "" {
+		opts.Remote = strings.Split(s.Dist.Remote, ",")
+	}
 	if s.Workloads != "" {
 		opts.Workloads = strings.Split(s.Workloads, ",")
 	}
 	if s.Kernels != "" {
 		opts.Kernels = strings.Split(s.Kernels, ",")
 	}
-	return opts
+	if opts, err = opts.WithSharedEngine(); err != nil {
+		return nil, Options{}, err
+	}
+	sess.Engine = opts.Engine
+	return sess, opts, nil
 }
 
 // ObsFlags are the observability flags every CLI shares.
@@ -230,12 +240,12 @@ func (s *ObsSession) Close() error {
 		}
 	}
 	if s.flags.TraceOut != "" {
-		if err := writeFileWith(s.flags.TraceOut, s.Obs.Tracer().WriteJSON); err != nil {
+		if err := WriteFile(s.flags.TraceOut, s.Obs.Tracer().WriteJSON); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 	}
 	if s.flags.MetricsOut != "" {
-		if err := writeFileWith(s.flags.MetricsOut, s.Report().WriteJSON); err != nil {
+		if err := WriteFile(s.flags.MetricsOut, s.Report().WriteJSON); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}
@@ -290,7 +300,9 @@ func (s *ObsSession) Report() obs.Report {
 	return obs.Report{Manifest: m, Metrics: snap, Runs: runs}
 }
 
-func writeFileWith(path string, write func(w io.Writer) error) error {
+// WriteFile creates path, fills it with write and closes it, returning
+// the first error of the three.
+func WriteFile(path string, write func(w io.Writer) error) error {
 	fh, err := os.Create(path)
 	if err != nil {
 		return err

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the trend layer over the benchmark records: `hetcore
-// bench -history` and `hetload -history` append one JSONL entry per
+// bench -history` and `hetcore load -history` append one JSONL entry per
 // measurement to BENCH_history.jsonl, and `hetcore trend` compares the
 // newest entry of each kind against the metric-wise median of the prior
 // entries with the same direction-aware thresholds `hetcore diff` uses.

@@ -10,7 +10,7 @@ import (
 // Trace serialization: a compact binary format for materialised
 // instruction streams, so a synthesized workload can be snapshotted,
 // shipped next to results, and replayed bit-identically (or inspected
-// with cmd/hetrace).
+// with `hetcore trace stats -in`).
 //
 // Format (little-endian):
 //
@@ -150,7 +150,7 @@ func (r *Reader) fail(err error) {
 	r.remaining = 0
 }
 
-// Summary aggregates the statistics of a trace — what cmd/hetrace prints.
+// Summary aggregates the statistics of a trace — what `hetcore trace stats` prints.
 type Summary struct {
 	Instructions  uint64
 	OpCounts      [9]uint64

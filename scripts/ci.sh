@@ -88,6 +88,29 @@ for want in '"schema": "hetcore.prof/v1"' '"cpu_cum_top"' \
     fi
 done
 
+echo "== tools gate (hetcore trace and sweep) =="
+# A dumped trace read back must summarise exactly like the live workload
+# it was dumped from, and a sweep must print the same rows at any -jobs
+# width. Each run takes under a second.
+"$tmp/hetcore" trace dump -workload lu -n 50000 -seed 1 -core 0 -o "$tmp/lu.trc" >/dev/null
+"$tmp/hetcore" trace stats -in "$tmp/lu.trc" >"$tmp/trace-file.txt"
+"$tmp/hetcore" trace stats -workload lu -n 50000 -seed 1 -core 0 >"$tmp/trace-live.txt"
+cmp "$tmp/trace-live.txt" "$tmp/trace-file.txt" || {
+    echo "trace stats of a dumped trace differ from the live workload" >&2
+    exit 1
+}
+for sweep in "fastsize -instr 30000" "waves -kernel DCT"; do
+    for j in 1 8; do
+        # $sweep is split on purpose: a sweep name and its flags.
+        # shellcheck disable=SC2086
+        "$tmp/hetcore" sweep -sweep $sweep -jobs "$j" >"$tmp/sweep-j$j.txt"
+    done
+    cmp "$tmp/sweep-j1.txt" "$tmp/sweep-j8.txt" || {
+        echo "sweep $sweep differs between -jobs=1 and -jobs=8" >&2
+        exit 1
+    }
+done
+
 echo "== paper-figure gate (hetcore all vs results_full.txt) =="
 # The committed results_full.txt is the output contract: every table of
 # a cold `hetcore all` must match it byte for byte. A second run on the
@@ -283,15 +306,14 @@ if ! grep -q '"schema": "hetcore.traffic/v1"' "$tmp/traffic-report1.json"; then
     exit 1
 fi
 
-echo "== load gate (hetload p99 vs baseline) =="
+echo "== load gate (hetcore load p99 vs baseline) =="
 # Drive a short closed-loop job stream at the live daemon and gate the
 # client-observed serving latency. With -rate-tol 400 the gate trips
 # only when a latency quantile exceeds 5x the committed baseline (or
 # any request errors against the zero-error baseline) — catching
 # serialization bugs and accidental hot-path sleeps without flaking on
 # host speed.
-go build -o "$tmp/hetload" ./cmd/hetload
-"$tmp/hetload" -addr "$addr" -duration 2s -concurrency 4 -cold 0.2 \
+"$tmp/hetcore" load -addr "$addr" -duration 2s -concurrency 4 -cold 0.2 \
     -o "$tmp/BENCH_load.json" -history "$tmp/BENCH_history.jsonl" >/dev/null
 "$tmp/hetcore" diff -rate-tol 400 scripts/baseline/BENCH_load.json "$tmp/BENCH_load.json"
 
