@@ -113,8 +113,11 @@ func sweep(args []string) error {
 	return sess.Close()
 }
 
-// plan declares one engine job per knob value. The key's Variant keeps
-// each mutated configuration apart from the stock run of the same name.
+// plan declares one engine job per knob value. Each mutated
+// configuration is named after its row (e.g. "AdvHet[window=2]"), so
+// its run record, gauges and series stay apart from the other rows'
+// whatever order the rows finish in; the key's Variant keeps it apart
+// from the stock run in the result caches.
 func (k knob) plan(opts harness.Options, workload, kernel string) ([]string, []engine.Job, error) {
 	var labels []string
 	var plan []engine.Job
@@ -129,6 +132,7 @@ func (k knob) plan(opts harness.Options, workload, kernel string) ([]string, []e
 				return nil, nil, err
 			}
 			label := k.cpu(&cfg, v)
+			cfg.Name += "[" + label + "]"
 			labels = append(labels, label)
 			plan = append(plan, engine.Job{
 				Key: engine.Key{Device: "cpu", Config: cfg.Name, Workload: prof.Name,
@@ -151,6 +155,7 @@ func (k knob) plan(opts harness.Options, workload, kernel string) ([]string, []e
 			return nil, nil, err
 		}
 		label := k.gpu(&cfg, v)
+		cfg.Name += "[" + label + "]"
 		labels = append(labels, label)
 		plan = append(plan, engine.Job{
 			Key: engine.Key{Device: "gpu", Config: cfg.Name, Workload: kern.Name,

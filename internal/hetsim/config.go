@@ -78,6 +78,13 @@ func dualSpeed(c cpu.Config) cpu.Config {
 
 // assign builders -----------------------------------------------------------
 
+// allTFETAssign returns the BaseTFET assignment: every unit in TFET.
+func allTFETAssign() energy.CPUAssign {
+	tf := energy.TFETScale()
+	return energy.CPUAssign{Core: tf, ALUSlow: tf, ALUFast: tf,
+		ALULeak: tf, Mul: tf, FPU: tf, DL1: tf, DL1Fast: tf, L2: tf, L3: tf}
+}
+
 func assignBaseHet() energy.CPUAssign {
 	a := energy.AllCMOSAssign()
 	tf := energy.TFETScale()
@@ -133,11 +140,7 @@ func CPUConfigs() []CPUConfig {
 	out = append(out, CPUConfig{
 		Name: "BaseTFET", Notes: "All-TFET core at 1 GHz", Cores: 4,
 		Core: tfetCore, Hier: baseHier(4, 1.0),
-		Assign: func() energy.CPUAssign {
-			tf := energy.TFETScale()
-			return energy.CPUAssign{Core: tf, ALUSlow: tf, ALUFast: tf,
-				ALULeak: tf, Mul: tf, FPU: tf, DL1: tf, DL1Fast: tf, L2: tf, L3: tf}
-		}(),
+		Assign: allTFETAssign(),
 	})
 
 	// BaseHet: FPUs, ALUs, DL1, L2 and L3 in TFET.

@@ -126,30 +126,7 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 		return CPUResult{}, err
 	}
 	wallStart := time.Now()
-	hier, err := cache.NewHierarchy(cfg.Hier)
-	if err != nil {
-		return CPUResult{}, fmt.Errorf("hetsim %s: %w", cfg.Name, err)
-	}
-
 	n := cfg.Cores
-	cores := make([]*cpu.Core, n)
-	quota := make([]uint64, n)
-	parallel := float64(opts.TotalInstructions) * (1 - prof.SerialFrac) / float64(n)
-	for i := 0; i < n; i++ {
-		gen, err := trace.NewGenerator(prof, opts.Seed, i)
-		if err != nil {
-			return CPUResult{}, err
-		}
-		cores[i], err = cpu.NewCore(cfg.Core, memPort{h: hier, core: i}, gen)
-		if err != nil {
-			return CPUResult{}, fmt.Errorf("hetsim %s: %w", cfg.Name, err)
-		}
-		quota[i] = uint64(parallel)
-	}
-	// The serial fraction runs on core 0 alone.
-	quota[0] += uint64(float64(opts.TotalInstructions) * prof.SerialFrac)
-
-	prog := opts.Obs.Prog()
 	tr := opts.Obs.Tracer()
 	var pid int64
 	if tr.Enabled() {
@@ -159,142 +136,34 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 			tr.ThreadName(pid, int64(i), fmt.Sprintf("core %d", i))
 		}
 	}
-	var budget uint64
-	for _, q := range quota {
-		budget += q + opts.WarmupInstructions
-	}
-	prog.AddTarget(budget)
-
 	asn := adjustAssign(cfg.Assign, opts.CMOSAdjust, opts.TFETAdjust)
-	detach := attachCPUTelemetry(opts.Obs,
-		"cpu."+cfg.Name+"."+prof.Name+".", cfg.FreqGHz(), cores, hier, asn)
-	defer detach()
-
-	runInterleaved := func(remaining []uint64) {
-		for {
-			active := false
-			for i := 0; i < n; i++ {
-				if remaining[i] == 0 {
-					continue
-				}
-				active = true
-				chunk := opts.ChunkInstructions
-				if chunk > remaining[i] {
-					chunk = remaining[i]
-				}
-				cores[i].Run(chunk)
-				remaining[i] -= chunk
-				prog.Add(chunk)
-			}
-			if !active {
-				break
-			}
-			if tr.Enabled() {
-				var cyc, com uint64
-				for _, c := range cores {
-					s := c.Stats()
-					if s.Cycles > cyc {
-						cyc = s.Cycles
-					}
-					com += s.Committed
-				}
-				if cyc > 0 {
-					tr.CounterSample(pid, "ipc", obs.SimTS(cyc, cfg.FreqGHz()),
-						map[string]float64{"per_core": float64(com) / float64(cyc) / float64(n)})
-				}
-			}
-		}
+	m, err := cpuCoreSet(cfg, prof, opts, asn).run(prof, opts, pid)
+	if err != nil {
+		return CPUResult{}, fmt.Errorf("hetsim %s: %w", cfg.Name, err)
 	}
-
-	// Warmup: run every core for the warmup quota, then snapshot the
-	// counters so the measured region excludes cold-start effects.
-	warm := make([]uint64, n)
-	for i := range warm {
-		warm[i] = opts.WarmupInstructions
-	}
-	runInterleaved(warm)
-	coreSnap := make([]cpu.Stats, n)
-	for i, c := range cores {
-		coreSnap[i] = c.Stats()
-	}
-	hierSnap := hier.Counts()
-
-	remaining := make([]uint64, n)
-	copy(remaining, quota)
-	runInterleaved(remaining)
 
 	// Aggregate the measured region.
-	var maxCycles, coreCycles, insts uint64
-	var attr cpu.CycleAttr
-	var act energy.CPUActivity
-	var lookups, mispred uint64
-	for i, c := range cores {
-		s := c.Stats().Delta(coreSnap[i])
-		if s.Cycles > maxCycles {
-			maxCycles = s.Cycles
-		}
-		coreCycles += s.Cycles
-		attr = attr.Add(s.Attr)
-		if tr.Enabled() {
-			f := cfg.FreqGHz()
-			tr.Complete(pid, int64(i), "warmup", "sim",
-				0, obs.SimTS(coreSnap[i].Cycles, f),
-				map[string]any{"insts": coreSnap[i].Committed})
-			tr.Complete(pid, int64(i), "measure", "sim",
-				obs.SimTS(coreSnap[i].Cycles, f), obs.SimTS(s.Cycles, f),
-				map[string]any{"insts": s.Committed,
-					"ipc": float64(s.Committed) / float64(max(s.Cycles, 1))})
-		}
-		insts += s.Committed
-		act.Instructions += s.Committed
-		act.BPredLookups += s.BPred.Lookups
-		lookups += s.BPred.Lookups
+	act := cpuActivity(m.stats, m.counts, cfg.Hier.AsymDL1)
+	var mispred uint64
+	for _, s := range m.stats {
 		mispred += s.BPred.Mispredicts
-		act.IntRFReads += s.IntRegReads
-		act.IntRFWrites += s.IntRegWrites
-		act.FPRFReads += s.FPRegReads
-		act.FPRFWrites += s.FPRegWrites
-		act.ALUFastOps += s.ALUFastOps
-		act.ALUSlowOps += s.ALUSlowOps
-		act.MulOps += s.Ops[trace.IntMul]
-		act.DivOps += s.Ops[trace.IntDiv]
-		act.FPAddOps += s.Ops[trace.FPAdd]
-		act.FPMulOps += s.Ops[trace.FPMul]
-		act.FPDivOps += s.Ops[trace.FPDiv]
-		act.MemOps += s.Ops[trace.Load] + s.Ops[trace.Store]
-		_ = i
 	}
-	counts := hier.Counts().Delta(hierSnap)
-	act.IL1Accesses = counts.IL1.Accesses()
-	if cfg.Hier.AsymDL1 {
-		act.DL1Accesses = counts.DL1Slow.Accesses()
-		act.DL1FastAccesses = counts.DL1Fast.Accesses()
-	} else {
-		act.DL1Accesses = counts.DL1.Accesses()
-	}
-	act.L2Accesses = counts.L2.Accesses()
-	act.L3Accesses = counts.L3.Accesses()
-	act.RingHops = counts.RingHops
-	act.DRAMAccesses = counts.DRAMAccesses
-
-	act.Cores = n
-
+	counts := m.counts
 	res := CPUResult{
 		Workload: prof.Name, Cores: n,
-		Cycles:       maxCycles,
-		Instructions: insts,
+		Cycles:       m.maxCycles,
+		Instructions: m.insts,
 		DL1HitRate:   counts.DL1.HitRate(),
-		CoreCycles:   coreCycles, Attr: attr,
+		CoreCycles:   m.coreCycles, Attr: m.attr,
 		Activity: act,
 	}
-	if insts > 0 {
-		perKilo := 1000 / float64(insts)
+	if m.insts > 0 {
+		perKilo := 1000 / float64(m.insts)
 		res.DL1MPKI = float64(counts.DL1.Misses()) * perKilo
 		res.L2MPKI = float64(counts.L2.Misses()) * perKilo
 		res.L3MPKI = float64(counts.L3.Misses()) * perKilo
 	}
-	occ := hier.Occupancy()
-	res.DL1Occupancy, res.L2Occupancy, res.L3Occupancy = occ.DL1, occ.L2, occ.L3
+	res.DL1Occupancy, res.L2Occupancy, res.L3Occupancy = m.occ.DL1, m.occ.L2, m.occ.L3
 	if cfg.Hier.AsymDL1 {
 		fa, sl := counts.DL1Fast, counts.DL1Slow
 		if total := fa.Accesses(); total > 0 {
@@ -306,11 +175,11 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 			res.FastHitRate = fa.HitRate()
 		}
 	}
-	if maxCycles > 0 {
-		res.IPC = float64(insts) / float64(maxCycles) / float64(n)
+	if m.maxCycles > 0 {
+		res.IPC = float64(m.insts) / float64(m.maxCycles) / float64(n)
 	}
-	if lookups > 0 {
-		res.MispredictRate = float64(mispred) / float64(lookups)
+	if act.BPredLookups > 0 {
+		res.MispredictRate = float64(mispred) / float64(act.BPredLookups)
 	}
 	res, err = price(res, cfg, asn)
 	if err != nil {
@@ -341,15 +210,15 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 		}
 		if tr.Enabled() && timeSec > 0 {
 			tr.CounterSample(pid, "avg_power_w",
-				obs.SimTS(maxCycles, cfg.FreqGHz()),
+				obs.SimTS(m.maxCycles, cfg.FreqGHz()),
 				map[string]float64{"total": bd.Total() / timeSec})
 		}
 		o.FinishRecord(obs.RunRecord{
 			Kind: "cpu", Config: cfg.Name, Workload: prof.Name,
 			Seed:         opts.Seed,
-			Instructions: insts, Cycles: maxCycles, CoreCycles: coreCycles,
+			Instructions: m.insts, Cycles: m.maxCycles, CoreCycles: m.coreCycles,
 			TimeSec: timeSec, IPC: res.IPC,
-			CycleAttribution: attr.Map(),
+			CycleAttribution: m.attr.Map(),
 			EnergyJ:          bd.Map(),
 			Extra: map[string]float64{
 				"dl1_hit_rate":    res.DL1HitRate,
@@ -362,7 +231,7 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 				"l2_occupancy":    res.L2Occupancy,
 				"l3_occupancy":    res.L3Occupancy,
 			},
-		}, wallStart, insts+uint64(n)*opts.WarmupInstructions)
+		}, wallStart, m.insts+uint64(n)*opts.WarmupInstructions)
 	}
 	return res, nil
 }
@@ -388,4 +257,215 @@ func adjustAssign(a energy.CPUAssign, cmosAdj, tfetAdj energy.Scale) energy.CPUA
 	a.L2 = adj(a.L2)
 	a.L3 = adj(a.L3)
 	return a
+}
+
+// coreSet is one CPU run: a core per entry of cores over one shared
+// hierarchy, each running quota[i] measured instructions after
+// opts.WarmupInstructions of warmup. RunCPU and RunHeteroCMP both drive
+// their cores through it.
+type coreSet struct {
+	cores []cpu.Config
+	hier  cache.Config
+	quota []uint64
+	// warmChunk is the warmup's round-robin chunk; the measured region
+	// interleaves in opts.ChunkInstructions.
+	warmChunk uint64
+	series    string  // live telemetry series prefix
+	price     pricing // the run's accounting, applied to each window
+}
+
+// measured is the measured region of a coreSet run.
+type measured struct {
+	stats  []cpu.Stats  // per-core counter deltas
+	counts cache.Counts // hierarchy counter delta
+	occ    cache.Occupancy
+
+	insts, maxCycles, coreCycles uint64 // summed over cores; maxCycles is the slowest core's
+	attr                         cpu.CycleAttr
+}
+
+// run builds the cores, warms them up, snapshots the counters and runs
+// the measured region round-robin. With a tracer, pid's timeline gets an
+// IPC counter per round and every core its warmup and measure spans at
+// its own clock.
+func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, error) {
+	hier, err := cache.NewHierarchy(s.hier)
+	if err != nil {
+		return measured{}, err
+	}
+	n := len(s.cores)
+	cores := make([]*cpu.Core, n)
+	for i, cfg := range s.cores {
+		gen, err := trace.NewGenerator(prof, opts.Seed, i)
+		if err != nil {
+			return measured{}, err
+		}
+		if cores[i], err = cpu.NewCore(cfg, memPort{h: hier, core: i}, gen); err != nil {
+			return measured{}, err
+		}
+	}
+	prog := opts.Obs.Prog()
+	var budget uint64
+	for _, q := range s.quota {
+		budget += q + opts.WarmupInstructions
+	}
+	prog.AddTarget(budget)
+	freq := s.cores[0].FreqGHz
+	defer attachCPUTelemetry(opts.Obs, s.series, freq, cores, hier, s.price)()
+
+	tr := opts.Obs.Tracer()
+	runInterleaved := func(remaining []uint64, chunk uint64) {
+		for {
+			active := false
+			for i := 0; i < n; i++ {
+				if remaining[i] == 0 {
+					continue
+				}
+				active = true
+				c := min(chunk, remaining[i])
+				cores[i].Run(c)
+				remaining[i] -= c
+				prog.Add(c)
+			}
+			if !active {
+				break
+			}
+			if tr.Enabled() {
+				var cyc, com uint64
+				for _, c := range cores {
+					st := c.Stats()
+					cyc = max(cyc, st.Cycles)
+					com += st.Committed
+				}
+				if cyc > 0 {
+					tr.CounterSample(pid, "ipc", obs.SimTS(cyc, freq),
+						map[string]float64{"per_core": float64(com) / float64(cyc) / float64(n)})
+				}
+			}
+		}
+	}
+
+	// Warmup, then snapshot the counters so the measured region excludes
+	// cold-start effects.
+	warm := make([]uint64, n)
+	for i := range warm {
+		warm[i] = opts.WarmupInstructions
+	}
+	runInterleaved(warm, s.warmChunk)
+	snap := make([]cpu.Stats, n)
+	for i, c := range cores {
+		snap[i] = c.Stats()
+	}
+	hierSnap := hier.Counts()
+	runInterleaved(append([]uint64(nil), s.quota...), opts.ChunkInstructions)
+
+	m := measured{stats: make([]cpu.Stats, n), counts: hier.Counts().Delta(hierSnap), occ: hier.Occupancy()}
+	for i, c := range cores {
+		d := c.Stats().Delta(snap[i])
+		m.stats[i] = d
+		m.insts += d.Committed
+		m.maxCycles = max(m.maxCycles, d.Cycles)
+		m.coreCycles += d.Cycles
+		m.attr = m.attr.Add(d.Attr)
+		if tr.Enabled() {
+			f := s.cores[i].FreqGHz
+			tr.Complete(pid, int64(i), "warmup", "sim",
+				0, obs.SimTS(snap[i].Cycles, f),
+				map[string]any{"insts": snap[i].Committed})
+			tr.Complete(pid, int64(i), "measure", "sim",
+				obs.SimTS(snap[i].Cycles, f), obs.SimTS(d.Cycles, f),
+				map[string]any{"insts": d.Committed,
+					"ipc": float64(d.Committed) / float64(max(d.Cycles, 1))})
+		}
+	}
+	return m, nil
+}
+
+// cpuCoreSet is RunCPU's core set: cfg.Cores copies of cfg.Core sharing
+// the work evenly, warmed up in opts.ChunkInstructions chunks and priced
+// under asn.
+func cpuCoreSet(cfg CPUConfig, prof trace.Profile, opts RunOpts, asn energy.CPUAssign) coreSet {
+	cores := make([]cpu.Config, cfg.Cores)
+	for i := range cores {
+		cores[i] = cfg.Core
+	}
+	return coreSet{
+		cores: cores, hier: cfg.Hier,
+		quota:     shares(opts.TotalInstructions, prof.SerialFrac, cores, false),
+		warmChunk: opts.ChunkInstructions,
+		series:    "cpu." + cfg.Name + "." + prof.Name + ".",
+		price:     uniformPricing(asn, cfg.Hier.AsymDL1),
+	}
+}
+
+// shares splits total instructions over cores: the parallel part evenly,
+// or in proportion to each core's clock when byClock is set, and the
+// serial fraction on core 0 on top of its share.
+func shares(total uint64, serialFrac float64, cores []cpu.Config, byClock bool) []uint64 {
+	weight := func(c cpu.Config) float64 {
+		if byClock {
+			return c.FreqGHz
+		}
+		return 1
+	}
+	var sum float64
+	for _, c := range cores {
+		sum += weight(c)
+	}
+	parallel := float64(total) * (1 - serialFrac)
+	quota := make([]uint64, len(cores))
+	for i, c := range cores {
+		quota[i] = uint64(parallel * weight(c) / sum)
+	}
+	quota[0] += uint64(float64(total) * serialFrac)
+	return quota
+}
+
+// cpuActivity sums a span's per-core counter deltas and its hierarchy
+// delta into the activity vector the energy model prices. An asymmetric
+// DL1 is priced per array: counts.DL1 already sums both.
+func cpuActivity(stats []cpu.Stats, counts cache.Counts, asymDL1 bool) energy.CPUActivity {
+	act := energy.CPUActivity{Cores: len(stats)}
+	for _, s := range stats {
+		act.Instructions += s.Committed
+		act.BPredLookups += s.BPred.Lookups
+		act.IntRFReads += s.IntRegReads
+		act.IntRFWrites += s.IntRegWrites
+		act.FPRFReads += s.FPRegReads
+		act.FPRFWrites += s.FPRegWrites
+		act.ALUFastOps += s.ALUFastOps
+		act.ALUSlowOps += s.ALUSlowOps
+		act.MulOps += s.Ops[trace.IntMul]
+		act.DivOps += s.Ops[trace.IntDiv]
+		act.FPAddOps += s.Ops[trace.FPAdd]
+		act.FPMulOps += s.Ops[trace.FPMul]
+		act.FPDivOps += s.Ops[trace.FPDiv]
+		act.MemOps += s.Ops[trace.Load] + s.Ops[trace.Store]
+	}
+	act.IL1Accesses = counts.IL1.Accesses()
+	if asymDL1 {
+		act.DL1Accesses = counts.DL1Slow.Accesses()
+		act.DL1FastAccesses = counts.DL1Fast.Accesses()
+	} else {
+		act.DL1Accesses = counts.DL1.Accesses()
+	}
+	act.L2Accesses = counts.L2.Accesses()
+	act.L3Accesses = counts.L3.Accesses()
+	act.RingHops = counts.RingHops
+	act.DRAMAccesses = counts.DRAMAccesses
+	return act
+}
+
+// pricing is a run's energy accounting: it prices a span from the
+// per-core counter deltas and the hierarchy's over timeSec seconds
+// (timeSec 0 prices the dynamic energy alone).
+type pricing func(stats []cpu.Stats, counts cache.Counts, timeSec float64) (energy.Breakdown, error)
+
+// uniformPricing prices every core under one assignment.
+func uniformPricing(asn energy.CPUAssign, asymDL1 bool) pricing {
+	return func(stats []cpu.Stats, counts cache.Counts, timeSec float64) (energy.Breakdown, error) {
+		act := cpuActivity(stats, counts, asymDL1)
+		act.TimeSec = timeSec
+		return energy.ComputeCPU(energy.DefaultCPULibrary(), act, asn)
+	}
 }

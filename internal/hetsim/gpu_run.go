@@ -61,16 +61,7 @@ func RunGPUObserved(cfg GPUConfig, kern gpu.Kernel, seed uint64, o *obs.Observer
 	o.Prog().Add(s.WaveInsts)
 
 	timeSec := s.TimeNS(cfg.Dev.FreqGHz) * 1e-9
-	act := energy.GPUActivity{
-		TimeSec: timeSec, CUs: cfg.Dev.CUs,
-		WaveInsts: s.WaveInsts,
-		FMAOps:    s.FMAOps, ScalarOps: s.ScalarOps, MemOps: s.MemOps,
-		RFReads: s.RFReads, RFWrites: s.RFWrites,
-		RFCacheHits: s.RFCacheHits, RFCacheWrites: s.RFCacheWrites,
-		VL1Accesses: s.VL1Reads, L2Accesses: s.L2Reads,
-		DRAMAccesses: s.DRAMAccesses,
-	}
-	bd, err := energy.ComputeGPU(energy.DefaultGPULibrary(), act, cfg.Assign)
+	bd, err := priceGPU(cfg, s, timeSec)
 	if err != nil {
 		return GPUResult{}, err
 	}

@@ -89,260 +89,134 @@ func RunHeteroCMP(hc HeteroCMPConfig, prof trace.Profile, opts RunOpts) (HeteroC
 			hc.CMOSCores, hc.TFETCores)
 	}
 	wallStart := time.Now()
-	n := hc.CMOSCores + hc.TFETCores
-
-	// One shared hierarchy. The CMOS cores' clock dominates the uncore;
-	// cycle-configured latencies match both (Section VI's simulator
-	// style).
-	hier, err := cache.NewHierarchy(func() cache.Config {
-		h := baseHier(n, 2.0)
-		return h
-	}())
-	if err != nil {
-		return HeteroCMPResult{}, err
-	}
-
-	cmosCfg := cpu.DefaultConfig() // 2 GHz
-	tfetCfg := cpu.DefaultConfig()
-	tfetCfg.FreqGHz = 1.0 // all-TFET: same cycle latencies, half clock
-
-	// Work distribution across threads: equal split without migration;
-	// speed-proportional (2:1) with barrier-aware migration.
-	total := float64(opts.TotalInstructions) * (1 - prof.SerialFrac)
-	quota := make([]uint64, n)
+	name := fmt.Sprintf("hetero-cmp-%dc%dt", hc.CMOSCores, hc.TFETCores)
 	if hc.Migrate {
-		speedSum := 2.0*float64(hc.CMOSCores) + 1.0*float64(hc.TFETCores)
-		for i := 0; i < n; i++ {
-			if i < hc.CMOSCores {
-				quota[i] = uint64(total * 2.0 / speedSum)
-			} else {
-				quota[i] = uint64(total * 1.0 / speedSum)
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			quota[i] = uint64(total / float64(n))
-		}
+		name += "-migrate"
 	}
-	// The serial fraction runs on a fast CMOS core.
-	quota[0] += uint64(float64(opts.TotalInstructions) * prof.SerialFrac)
+	set := hc.coreSet(prof, opts, "cmp."+name+"."+prof.Name+".")
+	n, quota := len(set.cores), set.quota
 
-	prog := opts.Obs.Prog()
 	tr := opts.Obs.Tracer()
 	var pid int64
 	if tr.Enabled() {
 		pid = tr.NextPID()
 		tr.ProcessName(pid, fmt.Sprintf("cmp %d CMOS + %d TFET / %s",
 			hc.CMOSCores, hc.TFETCores, prof.Name))
-		for i := 0; i < n; i++ {
-			kind := "cmos"
-			if i >= hc.CMOSCores {
-				kind = "tfet"
-			}
+	}
+	for i := 0; i < n; i++ {
+		kind, tfet := "cmos", 0.0 // tfet: 0 = CMOS core, 1 = TFET core
+		if i >= hc.CMOSCores {
+			kind, tfet = "tfet", 1.0
+		}
+		if tr.Enabled() {
 			tr.ThreadName(pid, int64(i), fmt.Sprintf("core %d (%s)", i, kind))
 		}
-		if hc.Migrate {
-			// Barrier-aware migration redistributes work 2:1 before the
-			// parallel section; mark it on each core's timeline.
-			for i := 0; i < n; i++ {
-				tr.Instant(pid, int64(i), "migration.redistribute", "sched", 0,
-					map[string]any{"quota_insts": quota[i]})
-			}
+		if !hc.Migrate {
+			continue
 		}
-	}
-	if hc.Migrate {
-		// The same redistribution feeds the live event log, so the
-		// dashboard's /events shows migration state as the sweep runs.
-		for i := 0; i < n; i++ {
-			kind := 0.0 // 0 = CMOS core, 1 = TFET core
-			if i >= hc.CMOSCores {
-				kind = 1.0
-			}
-			opts.Obs.AddEvent(obs.Event{Cat: "sched", Name: "migration.redistribute",
-				Args: map[string]float64{
-					"core": float64(i), "tfet": kind,
-					"quota_insts": float64(quota[i]),
-				}})
+		// Barrier-aware migration redistributes work 2:1 before the
+		// parallel section: mark it on each core's timeline and in the
+		// live event log, so the dashboard's /events shows migration
+		// state as the sweep runs.
+		if tr.Enabled() {
+			tr.Instant(pid, int64(i), "migration.redistribute", "sched", 0,
+				map[string]any{"quota_insts": quota[i]})
 		}
-	}
-	var budget uint64
-	for _, q := range quota {
-		budget += q + opts.WarmupInstructions
-	}
-	prog.AddTarget(budget)
-
-	cores := make([]*cpu.Core, n)
-	for i := 0; i < n; i++ {
-		gen, err := trace.NewGenerator(prof, opts.Seed, i)
-		if err != nil {
-			return HeteroCMPResult{}, err
-		}
-		cfg := cmosCfg
-		if i >= hc.CMOSCores {
-			cfg = tfetCfg
-		}
-		cores[i], err = cpu.NewCore(cfg, memPort{h: hier, core: i}, gen)
-		if err != nil {
-			return HeteroCMPResult{}, err
-		}
+		opts.Obs.AddEvent(obs.Event{Cat: "sched", Name: "migration.redistribute",
+			Args: map[string]float64{"core": float64(i), "tfet": tfet, "quota_insts": float64(quota[i])}})
 	}
 
-	name := fmt.Sprintf("hetero-cmp-%dc%dt", hc.CMOSCores, hc.TFETCores)
-	if hc.Migrate {
-		name += "-migrate"
-	}
-	detach := attachCPUTelemetry(opts.Obs, "cmp."+name+"."+prof.Name+".",
-		cmosCfg.FreqGHz, cores, hier, energy.AllCMOSAssign())
-	defer detach()
-
-	// Warmup, then measure (same methodology as RunCPU).
-	for i := 0; i < n; i++ {
-		cores[i].Run(opts.WarmupInstructions)
-		prog.Add(opts.WarmupInstructions)
-	}
-	snaps := make([]cpu.Stats, n)
-	for i, c := range cores {
-		snaps[i] = c.Stats()
-	}
-	hierSnap := hier.Counts()
-
-	remaining := make([]uint64, n)
-	copy(remaining, quota)
-	for {
-		active := false
-		for i := 0; i < n; i++ {
-			if remaining[i] == 0 {
-				continue
-			}
-			active = true
-			chunk := opts.ChunkInstructions
-			if chunk > remaining[i] {
-				chunk = remaining[i]
-			}
-			cores[i].Run(chunk)
-			remaining[i] -= chunk
-			prog.Add(chunk)
-		}
-		if !active {
-			break
-		}
+	m, err := set.run(prof, opts, pid)
+	if err != nil {
+		return HeteroCMPResult{}, err
 	}
 
 	// Barrier semantics: the program finishes when the slowest thread
 	// does, in wall-clock terms (cores run at different frequencies).
 	var makespan float64
-	stats := make([]cpu.Stats, n)
-	for i, c := range cores {
-		stats[i] = c.Stats().Delta(snaps[i])
-		freq := cmosCfg.FreqGHz
-		if i >= hc.CMOSCores {
-			freq = tfetCfg.FreqGHz
-		}
-		if t := stats[i].TimeNS(freq) * 1e-9; t > makespan {
-			makespan = t
-		}
-		if tr.Enabled() {
-			tr.Complete(pid, int64(i), "measure", "sim",
-				obs.SimTS(snaps[i].Cycles, freq), obs.SimTS(stats[i].Cycles, freq),
-				map[string]any{"insts": stats[i].Committed})
-		}
+	for i, s := range m.stats {
+		makespan = max(makespan, s.TimeNS(set.cores[i].FreqGHz)*1e-9)
 	}
-
-	counts := hier.Counts().Delta(hierSnap)
-
-	// Energy: the CMOS group at CMOS scaling, the TFET group at TFET
-	// scaling. The shared L3 (CMOS SRAM here) is attributed to the CMOS
-	// group; per-group activity uses each group's core counters.
-	groupActivity := func(lo, hi int) energy.CPUActivity {
-		var act energy.CPUActivity
-		for i := lo; i < hi; i++ {
-			s := stats[i]
-			act.Instructions += s.Committed
-			act.BPredLookups += s.BPred.Lookups
-			act.IntRFReads += s.IntRegReads
-			act.IntRFWrites += s.IntRegWrites
-			act.FPRFReads += s.FPRegReads
-			act.FPRFWrites += s.FPRegWrites
-			act.ALUSlowOps += s.ALUSlowOps
-			act.ALUFastOps += s.ALUFastOps
-			act.MulOps += s.Ops[trace.IntMul]
-			act.DivOps += s.Ops[trace.IntDiv]
-			act.FPAddOps += s.Ops[trace.FPAdd]
-			act.FPMulOps += s.Ops[trace.FPMul]
-			act.FPDivOps += s.Ops[trace.FPDiv]
-			act.MemOps += s.Ops[trace.Load] + s.Ops[trace.Store]
-		}
-		act.TimeSec = makespan
-		act.Cores = hi - lo
-		return act
-	}
-	lib := energy.DefaultCPULibrary()
-
-	// Split hierarchy activity proportionally to each group's memory
-	// operations (a first-order attribution).
-	cmosAct := groupActivity(0, hc.CMOSCores)
-	tfetAct := groupActivity(hc.CMOSCores, n)
-	memTotal := float64(cmosAct.MemOps + tfetAct.MemOps)
-	split := func(v uint64, share float64) uint64 { return uint64(float64(v) * share) }
-	cshare := 1.0
-	if memTotal > 0 {
-		cshare = float64(cmosAct.MemOps) / memTotal
-	}
-	cmosAct.IL1Accesses = split(counts.IL1.Accesses(), cshare)
-	tfetAct.IL1Accesses = counts.IL1.Accesses() - cmosAct.IL1Accesses
-	cmosAct.DL1Accesses = split(counts.DL1.Accesses(), cshare)
-	tfetAct.DL1Accesses = counts.DL1.Accesses() - cmosAct.DL1Accesses
-	cmosAct.L2Accesses = split(counts.L2.Accesses(), cshare)
-	tfetAct.L2Accesses = counts.L2.Accesses() - cmosAct.L2Accesses
-	cmosAct.L3Accesses = counts.L3.Accesses() // L3 attributed to CMOS group
-	cmosAct.RingHops = counts.RingHops
-	cmosAct.DRAMAccesses = counts.DRAMAccesses
-
-	cmosBD, err := energy.ComputeCPU(lib, cmosAct, energy.AllCMOSAssign())
+	bd, err := hc.price(m.stats, m.counts, makespan)
 	if err != nil {
 		return HeteroCMPResult{}, err
 	}
-	tf := energy.TFETScale()
-	tfetAssign := energy.CPUAssign{Core: tf, ALUSlow: tf, ALUFast: tf,
-		ALULeak: tf, Mul: tf, FPU: tf, DL1: tf, DL1Fast: tf, L2: tf, L3: tf}
-	tfetBD, err := energy.ComputeCPU(lib, tfetAct, tfetAssign)
-	if err != nil {
-		return HeteroCMPResult{}, err
-	}
-	// Avoid double-counting the shared L3 leakage: drop the TFET
-	// group's L3 term (their cores have no L3 slice of their own in the
-	// iso-area budget).
-	tfetBD.L3Leak = 0
-
-	res := HeteroCMPResult{
-		Config:   hc,
-		Workload: prof.Name,
-		TimeSec:  makespan,
-		Energy:   cmosBD.Add(tfetBD),
-	}
+	res := HeteroCMPResult{Config: hc, Workload: prof.Name, TimeSec: makespan, Energy: bd}
 	if o := opts.Obs; o.Enabled() {
-		var insts, coreCycles, maxCycles uint64
-		var attr cpu.CycleAttr
-		for _, s := range stats {
-			insts += s.Committed
-			coreCycles += s.Cycles
-			attr = attr.Add(s.Attr)
-			if s.Cycles > maxCycles {
-				maxCycles = s.Cycles
-			}
-		}
 		rec := obs.RunRecord{
 			Kind: "cmp", Config: name, Workload: prof.Name,
 			Seed:         opts.Seed,
-			Instructions: insts, Cycles: maxCycles, CoreCycles: coreCycles,
+			Instructions: m.insts, Cycles: m.maxCycles, CoreCycles: m.coreCycles,
 			TimeSec:          makespan,
-			CycleAttribution: attr.Map(),
+			CycleAttribution: m.attr.Map(),
 			EnergyJ:          res.Energy.Map(),
 		}
-		if coreCycles > 0 {
-			rec.IPC = float64(insts) / float64(coreCycles)
+		if m.coreCycles > 0 {
+			rec.IPC = float64(m.insts) / float64(m.coreCycles)
 		}
-		o.FinishRecord(rec, wallStart, insts+uint64(n)*opts.WarmupInstructions)
+		o.FinishRecord(rec, wallStart, m.insts+uint64(n)*opts.WarmupInstructions)
 	}
 	return res, nil
+}
+
+// coreSet returns the CMP's cores. The CMOS cores run at 2 GHz; the
+// all-TFET cores keep the same cycle latencies at half the clock. Work
+// splits evenly without migration and speed-proportionally (2:1) with
+// barrier-aware migration; the serial fraction runs on a fast CMOS core.
+// One shared hierarchy: the CMOS cores' clock dominates the uncore, and
+// cycle-configured latencies match both (Section VI's simulator style).
+// Each core warms up in one piece, in core order.
+func (hc HeteroCMPConfig) coreSet(prof trace.Profile, opts RunOpts, series string) coreSet {
+	n := hc.CMOSCores + hc.TFETCores
+	cores := make([]cpu.Config, n)
+	for i := range cores {
+		cores[i] = cpu.DefaultConfig()
+		if i >= hc.CMOSCores {
+			cores[i].FreqGHz = 1.0
+		}
+	}
+	return coreSet{
+		cores: cores, hier: baseHier(n, 2.0),
+		quota:     shares(opts.TotalInstructions, prof.SerialFrac, cores, hc.Migrate),
+		warmChunk: opts.WarmupInstructions,
+		series:    series,
+		price:     hc.price,
+	}
+}
+
+// price is the CMP's energy accounting: the CMOS group at CMOS scaling
+// and the TFET group at TFET scaling, each from its own cores' counters.
+// The private cache levels' accesses split between the groups in
+// proportion to their memory operations (a first-order attribution);
+// the shared L3 (CMOS SRAM here), the ring and DRAM go to the CMOS
+// group. The TFET group's L3 leakage is dropped so the shared L3 is not
+// counted twice: its cores have no L3 slice of their own in the
+// iso-area budget.
+func (hc HeteroCMPConfig) price(stats []cpu.Stats, counts cache.Counts, timeSec float64) (energy.Breakdown, error) {
+	cmosAct := cpuActivity(stats[:hc.CMOSCores], counts, false)
+	tfetAct := cpuActivity(stats[hc.CMOSCores:], cache.Counts{}, false)
+	cmosAct.TimeSec, tfetAct.TimeSec = timeSec, timeSec
+	cshare := 1.0
+	if memTotal := float64(cmosAct.MemOps + tfetAct.MemOps); memTotal > 0 {
+		cshare = float64(cmosAct.MemOps) / memTotal
+	}
+	split := func(v uint64) (cmos, tfet uint64) {
+		cmos = uint64(float64(v) * cshare)
+		return cmos, v - cmos
+	}
+	cmosAct.IL1Accesses, tfetAct.IL1Accesses = split(cmosAct.IL1Accesses)
+	cmosAct.DL1Accesses, tfetAct.DL1Accesses = split(cmosAct.DL1Accesses)
+	cmosAct.L2Accesses, tfetAct.L2Accesses = split(cmosAct.L2Accesses)
+
+	lib := energy.DefaultCPULibrary()
+	cmosBD, err := energy.ComputeCPU(lib, cmosAct, energy.AllCMOSAssign())
+	if err != nil {
+		return energy.Breakdown{}, err
+	}
+	tfetBD, err := energy.ComputeCPU(lib, tfetAct, allTFETAssign())
+	if err != nil {
+		return energy.Breakdown{}, err
+	}
+	tfetBD.L3Leak = 0
+	return cmosBD.Add(tfetBD), nil
 }

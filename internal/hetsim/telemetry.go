@@ -6,35 +6,35 @@ import (
 	"hetcore/internal/energy"
 	"hetcore/internal/gpu"
 	"hetcore/internal/obs"
-	"hetcore/internal/trace"
 )
 
 // This file wires the simulators' periodic sampler hooks to the
 // observability layer's time series: every obs.Observer.SamplePeriod()
 // simulated cycles the pacing core (or the GPU device clock) fires a
 // callback that computes windowed aggregates — IPC, queue occupancies,
-// TFET-vs-CMOS unit utilisation, a dynamic-energy estimate — and appends
-// them to named series. With no series set attached, SamplePeriod is 0
-// and the samplers stay disarmed, so an uninstrumented run pays nothing
-// beyond the simulators' one compare per cycle.
+// TFET-vs-CMOS unit utilisation, dynamic energy — and appends them to
+// named series. With no series set attached, SamplePeriod is 0 and the
+// samplers stay disarmed, so an uninstrumented run pays nothing beyond
+// the simulators' one compare per cycle.
 //
-// The energy figures here are live estimates assembled from per-op
-// dynamic energies only (no leakage, no end-of-run calibration); the
-// authoritative numbers remain the end-of-run energy.Compute* results.
+// A window's energy is the run's own accounting (energy.ComputeCPU or
+// energy.ComputeGPU under the run's assignment) applied to the window's
+// counters over zero time, so it holds no leakage; only the end-of-run
+// figures do.
 
 // attachCPUTelemetry arms per-interval sampling on the pacing core
 // (cores[0]). Windowed values aggregate over all cores, which the chunked
-// round-robin keeps within one chunk of the pacing core's clock. The
-// returned func detaches the sampler (safe to call when never attached).
+// round-robin keeps within one chunk of the pacing core's clock; price
+// is the run's accounting. The returned func detaches the sampler (safe
+// to call when never attached).
 func attachCPUTelemetry(o *obs.Observer, prefix string, freqGHz float64,
-	cores []*cpu.Core, hier *cache.Hierarchy, asn energy.CPUAssign) func() {
+	cores []*cpu.Core, hier *cache.Hierarchy, price pricing) func() {
 	period := o.SamplePeriod()
 	if period == 0 || len(cores) == 0 {
 		return func() {}
 	}
 	ss := o.TimeSeries()
 	reg := o.Reg()
-	lib := energy.DefaultCPULibrary()
 
 	ipcS := ss.Series(prefix + "ipc")
 	robS := ss.Series(prefix + "rob_occ")
@@ -45,6 +45,7 @@ func attachCPUTelemetry(o *obs.Observer, prefix string, freqGHz float64,
 	powS := ss.Series(prefix + "power_w")
 
 	prev := make([]cpu.Stats, len(cores))
+	win := make([]cpu.Stats, len(cores))
 	for i, c := range cores {
 		prev[i] = c.Stats()
 	}
@@ -57,7 +58,7 @@ func attachCPUTelemetry(o *obs.Observer, prefix string, freqGHz float64,
 		for i, c := range cores {
 			cur := c.Stats()
 			w := cur.Delta(prev[i])
-			prev[i] = cur
+			prev[i], win[i] = cur, w
 			d.Cycles += w.Cycles
 			d.Committed += w.Committed
 			d.ROBOccAccum += w.ROBOccAccum
@@ -65,14 +66,6 @@ func attachCPUTelemetry(o *obs.Observer, prefix string, freqGHz float64,
 			d.LSQOccAccum += w.LSQOccAccum
 			d.ALUFastOps += w.ALUFastOps
 			d.ALUSlowOps += w.ALUSlowOps
-			d.IntRegReads += w.IntRegReads
-			d.IntRegWrites += w.IntRegWrites
-			d.FPRegReads += w.FPRegReads
-			d.FPRegWrites += w.FPRegWrites
-			d.BPred.Lookups += w.BPred.Lookups
-			for op := range w.Ops {
-				d.Ops[op] += w.Ops[op]
-			}
 		}
 		counts := hier.Counts()
 		dc := counts.Delta(prevCounts)
@@ -88,7 +81,7 @@ func attachCPUTelemetry(o *obs.Observer, prefix string, freqGHz float64,
 		if alu := d.ALUFastOps + d.ALUSlowOps; alu > 0 {
 			fastS.Append(t, float64(d.ALUFastOps)/float64(alu))
 		}
-		e := windowCPUDynJ(lib, asn, d, dc)
+		e := windowDynJ(price, win, dc)
 		enS.Append(t, e)
 		if dPacing := s0.Cycles - prevPacing; dPacing > 0 {
 			powS.Append(t, e*freqGHz*1e9/float64(dPacing))
@@ -99,30 +92,12 @@ func attachCPUTelemetry(o *obs.Observer, prefix string, freqGHz float64,
 	return func() { cores[0].SetSampler(0, nil) }
 }
 
-// windowCPUDynJ estimates one window's dynamic energy in joules from the
-// aggregated per-op deltas, using the same per-event energies and
-// technology scaling the end-of-run accounting uses.
-func windowCPUDynJ(lib energy.CPULibrary, asn energy.CPUAssign, d cpu.Stats, dc cache.Counts) float64 {
-	insts := float64(d.Committed)
-	pj := insts * (lib.FetchDecodePJ + lib.RenamePJ + lib.ROBPJ + lib.IQPJ) * asn.Core.Dyn
-	pj += float64(d.BPred.Lookups) * lib.BPredPJ * asn.Core.Dyn
-	pj += (float64(d.IntRegReads)*lib.IntRFReadPJ + float64(d.IntRegWrites)*lib.IntRFWritePJ +
-		float64(d.FPRegReads)*lib.FPRFReadPJ + float64(d.FPRegWrites)*lib.FPRFWritePJ) * asn.Core.Dyn
-	pj += float64(d.ALUFastOps) * lib.ALUOpPJ * asn.ALUFast.Dyn
-	pj += float64(d.ALUSlowOps) * lib.ALUOpPJ * asn.ALUSlow.Dyn
-	pj += float64(d.Ops[trace.IntMul])*lib.MulOpPJ*asn.Mul.Dyn +
-		float64(d.Ops[trace.IntDiv])*lib.DivOpPJ*asn.Mul.Dyn
-	pj += (float64(d.Ops[trace.FPAdd])*lib.FPAddOpPJ + float64(d.Ops[trace.FPMul])*lib.FPMulOpPJ +
-		float64(d.Ops[trace.FPDiv])*lib.FPDivOpPJ) * asn.FPU.Dyn
-	mem := float64(d.Ops[trace.Load] + d.Ops[trace.Store])
-	pj += mem * lib.AGUOpPJ * asn.Core.Dyn
-	pj += float64(dc.IL1.Accesses()) * lib.IL1AccessPJ * asn.Core.Dyn
-	pj += float64(dc.DL1.Accesses()+dc.DL1Slow.Accesses()) * lib.DL1AccessPJ * asn.DL1.Dyn
-	pj += float64(dc.DL1Fast.Accesses()) * lib.DL1FastAccessPJ * asn.DL1Fast.Dyn
-	pj += float64(dc.L2.Accesses()) * lib.L2AccessPJ * asn.L2.Dyn
-	pj += float64(dc.L3.Accesses()) * lib.L3AccessPJ * asn.L3.Dyn
-	pj += float64(dc.RingHops) * lib.RingHopPJ
-	return pj * 1e-12
+// windowDynJ is one window's dynamic energy in joules: price applied to
+// the window's counters over zero time. price fails only on an invalid
+// assignment, which fails the run's own end-of-run pricing too.
+func windowDynJ(price pricing, stats []cpu.Stats, counts cache.Counts) float64 {
+	bd, _ := price(stats, counts, 0)
+	return bd.Dynamic()
 }
 
 // attachGPUTelemetry arms per-interval sampling on the device clock.
@@ -133,9 +108,7 @@ func attachGPUTelemetry(o *obs.Observer, prefix string, cfg GPUConfig, dev *gpu.
 	}
 	ss := o.TimeSeries()
 	reg := o.Reg()
-	lib := energy.DefaultGPULibrary()
 	freq := cfg.Dev.FreqGHz
-	asn := cfg.Assign
 
 	ipcS := ss.Series(prefix + "ipc")
 	memS := ss.Series(prefix + "mem_wait_frac")
@@ -143,7 +116,11 @@ func attachGPUTelemetry(o *obs.Observer, prefix string, cfg GPUConfig, dev *gpu.
 	enS := ss.Series(prefix + "window_dyn_j")
 	powS := ss.Series(prefix + "power_w")
 
+	// Dynamic energy is linear in the counters, so a window's is the
+	// accounting of the cumulative counters less that of the previous
+	// sample's.
 	var prev gpu.Stats
+	var prevDyn float64
 	dev.SetSampler(period, func(cur gpu.Stats) {
 		t := obs.SimTS(cur.Cycles, freq)
 		dCyc := cur.Cycles - prev.Cycles
@@ -155,21 +132,26 @@ func attachGPUTelemetry(o *obs.Observer, prefix string, cfg GPUConfig, dev *gpu.
 		if dReads := cur.RFReads - prev.RFReads; dReads > 0 {
 			rfS.Append(t, float64(cur.RFCacheHits-prev.RFCacheHits)/float64(dReads))
 		}
-		pj := float64(dWave) * lib.IssueCtrlPJ * asn.Other.Dyn
-		pj += float64(cur.FMAOps-prev.FMAOps) * lib.FMAOpPJ * asn.SIMD.Dyn
-		pj += float64(cur.ScalarOps-prev.ScalarOps) * lib.ScalarOpPJ * asn.Other.Dyn
-		hits := cur.RFCacheHits - prev.RFCacheHits
-		pj += float64(cur.RFReads-prev.RFReads-hits) * lib.RFReadPJ * asn.RF.Dyn
-		pj += float64(cur.RFWrites-prev.RFWrites) * lib.RFWritePJ * asn.RF.Dyn
-		pj += float64(hits+cur.RFCacheWrites-prev.RFCacheWrites) * lib.RFCacheAccessPJ
-		pj += float64(cur.VL1Reads-prev.VL1Reads) * lib.VL1AccessPJ * asn.VL1.Dyn
-		pj += float64(cur.L2Reads-prev.L2Reads) * lib.L2AccessPJ * asn.L2.Dyn
-		e := pj * 1e-12
+		bd, _ := priceGPU(cfg, cur, 0) // fails only as the run's own pricing does
+		e := bd.Dyn - prevDyn
 		enS.Append(t, e)
 		if dCyc > 0 {
 			powS.Append(t, e*freq*1e9/float64(dCyc))
 		}
-		prev = cur
+		prev, prevDyn = cur, bd.Dyn
 		reg.Counter("obs.gpu_samples_total").Inc()
 	})
+}
+
+// priceGPU is the GPU accounting of the counters s over timeSec seconds.
+func priceGPU(cfg GPUConfig, s gpu.Stats, timeSec float64) (energy.GPUBreakdown, error) {
+	return energy.ComputeGPU(energy.DefaultGPULibrary(), energy.GPUActivity{
+		TimeSec: timeSec, CUs: cfg.Dev.CUs,
+		WaveInsts: s.WaveInsts,
+		FMAOps:    s.FMAOps, ScalarOps: s.ScalarOps, MemOps: s.MemOps,
+		RFReads: s.RFReads, RFWrites: s.RFWrites,
+		RFCacheHits: s.RFCacheHits, RFCacheWrites: s.RFCacheWrites,
+		VL1Accesses: s.VL1Reads, L2Accesses: s.L2Reads,
+		DRAMAccesses: s.DRAMAccesses,
+	}, cfg.Assign)
 }

@@ -90,8 +90,8 @@ done
 
 echo "== tools gate (hetcore trace and sweep) =="
 # A dumped trace read back must summarise exactly like the live workload
-# it was dumped from, and a sweep must print the same rows at any -jobs
-# width. Each run takes under a second.
+# it was dumped from, and a sweep must print the same rows and report the
+# same run records at any -jobs width. Each run takes under a second.
 "$tmp/hetcore" trace dump -workload lu -n 50000 -seed 1 -core 0 -o "$tmp/lu.trc" >/dev/null
 "$tmp/hetcore" trace stats -in "$tmp/lu.trc" >"$tmp/trace-file.txt"
 "$tmp/hetcore" trace stats -workload lu -n 50000 -seed 1 -core 0 >"$tmp/trace-live.txt"
@@ -103,10 +103,17 @@ for sweep in "fastsize -instr 30000" "waves -kernel DCT"; do
     for j in 1 8; do
         # $sweep is split on purpose: a sweep name and its flags.
         # shellcheck disable=SC2086
-        "$tmp/hetcore" sweep -sweep $sweep -jobs "$j" >"$tmp/sweep-j$j.txt"
+        "$tmp/hetcore" sweep -sweep $sweep -jobs "$j" \
+            -metrics-out "$tmp/sweep-j$j.json" >"$tmp/sweep-j$j.txt"
     done
     cmp "$tmp/sweep-j1.txt" "$tmp/sweep-j8.txt" || {
         echo "sweep $sweep differs between -jobs=1 and -jobs=8" >&2
+        exit 1
+    }
+    "$tmp/hetcore" diff -tol 0 -rate-tol 0 "$tmp/sweep-j1.json" "$tmp/sweep-j8.json" \
+        >"$tmp/sweep-diff.txt" || {
+        echo "sweep $sweep reports differ between -jobs=1 and -jobs=8:" >&2
+        cat "$tmp/sweep-diff.txt" >&2
         exit 1
     }
 done
