@@ -183,6 +183,9 @@ func all(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := harness.Prepass(opts); err != nil {
+		return fmt.Errorf("prepass: %w", err)
+	}
 	for _, e := range harness.Experiments() {
 		sess.Experiments = append(sess.Experiments, e.ID)
 		t, err := harness.RunExperiment(e, opts)

@@ -17,9 +17,12 @@
 // Determinism contract: a job function must be a pure function of its
 // key — it builds all mutable simulation state (cores, hierarchies,
 // RNGs) itself and only writes shared state through the mutex-guarded
-// observability endpoints. Under that contract the result of every plan
-// is independent of the worker count, so -jobs=1 and -jobs=N produce
-// identical tables.
+// observability endpoints. The one shared input allowed is the harness
+// pre-pass's instruction streams (trace.StreamStore): each is a pure
+// function of (profile, seed, core), and every reader replays the same
+// instructions through its own cursor. Under that contract the result
+// of every plan is independent of the worker count, so -jobs=1 and
+// -jobs=N produce identical tables.
 package engine
 
 import (
@@ -486,6 +489,15 @@ func (e *Engine) DoTimed(key Key, fn func() (any, error)) (any, JobTiming, error
 // inside a job of the same engine — the plan's jobs would wait for lanes
 // the caller's job is holding — and such a call fails fast.
 func (e *Engine) RunAll(jobs []Job) ([]any, error) {
+	return e.RunAllNotify(jobs, nil)
+}
+
+// RunAllNotify is RunAll that calls served(i) as soon as job i has been
+// served, by whichever level, before its worker takes another job. It
+// lets a plan free what only its finished jobs needed while the rest
+// still runs. served runs on the worker goroutines, so it must be safe
+// for concurrent use; nil means RunAll.
+func (e *Engine) RunAllNotify(jobs []Job, served func(i int)) ([]any, error) {
 	if e.holdsLane() {
 		return nil, nestedErr(fmt.Sprintf("RunAll(%d jobs)", len(jobs)))
 	}
@@ -495,6 +507,9 @@ func (e *Engine) RunAll(jobs []Job) ([]any, error) {
 	work := func() {
 		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
 			out[i], errs[i] = e.Do(jobs[i].Key, jobs[i].Run)
+			if served != nil {
+				served(i)
+			}
 		}
 	}
 	workers := e.Workers()

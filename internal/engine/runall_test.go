@@ -237,3 +237,45 @@ func TestRunAllFillsExecutorCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllNotifyServesEachJobOnce: served(i) runs exactly once per
+// job, after its result is final, whether the job ran, came from the
+// second-level cache or was a memory hit.
+func TestRunAllNotifyServesEachJobOnce(t *testing.T) {
+	e := New(3, nil)
+	c := &mapCache{m: map[Key]any{key(1): 1}}
+	e.SetCache(c)
+	if _, err := e.Do(key(2), func() (any, error) { return 2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]Job, 8)
+	var ran atomic.Int64
+	for i := range jobs {
+		jobs[i] = Job{Key: key(i), Run: func() (any, error) {
+			ran.Add(1)
+			return i, nil
+		}}
+	}
+	var mu sync.Mutex
+	calls := make([]int, len(jobs))
+	finished := make([]bool, len(jobs))
+	out, err := e.RunAllNotify(jobs, func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[i]++
+		// The result is final: a second Do is a memory hit.
+		v, err := e.Do(key(i), func() (any, error) { return -1, nil })
+		finished[i] = err == nil && v.(int) == i
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if calls[i] != 1 || !finished[i] || out[i].(int) != i {
+			t.Errorf("job %d: served %d times, final %v, result %v", i, calls[i], finished[i], out[i])
+		}
+	}
+	if got := ran.Load(); got != int64(len(jobs)-2) {
+		t.Errorf("%d jobs ran, want %d (one disk hit, one memory hit)", got, len(jobs)-2)
+	}
+}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 
 	"hetcore/internal/device"
 	"hetcore/internal/dist"
@@ -43,6 +44,10 @@ type Options struct {
 	// Remote lists hetserved workers ("host:port") attached as extra
 	// engine lanes by WithSharedEngine.
 	Remote []string
+	// Streams, when non-nil, is the instruction-stream store the CPU
+	// and CMP runs of these options read (hetsim.RunOpts.Streams).
+	// Prepass attaches one to its plan's jobs.
+	Streams *trace.StreamStore
 }
 
 // WithSharedEngine returns a copy of o carrying a fresh engine built
@@ -91,7 +96,7 @@ func (o Options) engine() *engine.Engine {
 }
 
 func (o Options) runOpts() hetsim.RunOpts {
-	return hetsim.RunOpts{TotalInstructions: o.Instructions, Seed: o.Seed, Obs: o.Obs}
+	return hetsim.RunOpts{TotalInstructions: o.Instructions, Seed: o.Seed, Obs: o.Obs, Streams: o.Streams}
 }
 
 // cpuKey is the cache key of a stock CPU run under these options.
@@ -148,15 +153,9 @@ func cpuSuite(configs []string, opts Options) (map[string]map[string]hetsim.CPUR
 	for i, p := range profiles {
 		names[i] = p.Name
 	}
-	views := make([]hetsim.CPUView, 0, len(configs)*len(profiles))
-	for _, cn := range configs {
-		cfg, err := hetsim.CPUConfigByName(cn)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range profiles {
-			views = append(views, hetsim.CPUView{Config: cfg, Profile: p})
-		}
+	views, err := suiteViews(configs, profiles)
+	if err != nil {
+		return nil, nil, err
 	}
 	outs, err := hetsim.RunPriced(views, opts.Obs, opts.simulateCPU)
 	if err != nil {
@@ -177,24 +176,29 @@ func cpuSuite(configs []string, opts Options) (map[string]map[string]hetsim.CPUR
 	return results, names, nil
 }
 
-// simulateCPU is the engine's hetsim.Simulator: a registry
-// configuration runs under its stock key, its one-core form under the
-// "cores=1" component key.
+// suiteViews returns a suite's views: configs × profiles, config-major.
+func suiteViews(configs []string, profiles []trace.Profile) ([]hetsim.CPUView, error) {
+	views := make([]hetsim.CPUView, 0, len(configs)*len(profiles))
+	for _, cn := range configs {
+		cfg, err := hetsim.CPUConfigByName(cn)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range profiles {
+			views = append(views, hetsim.CPUView{Config: cfg, Profile: p})
+		}
+	}
+	return views, nil
+}
+
+// simulateCPU is the engine's hetsim.Simulator: it runs each
+// representative's repJob.
 func (o Options) simulateCPU(reps []hetsim.CPUView) ([]hetsim.CPUResult, error) {
 	jobs := make([]engine.Job, len(reps))
-	registry := make(map[string]hetsim.CPUConfig)
-	for _, c := range hetsim.CPUConfigs() {
-		registry[c.Name] = c
-	}
 	for i, r := range reps {
-		stock := registry[r.Config.Name]
-		switch r.Config {
-		case stock:
-			jobs[i] = o.cpuJob(stock, r.Profile)
-		case hetsim.SingleCore(stock):
-			jobs[i] = o.socComponentJob(r.Config, r.Profile)
-		default:
-			return nil, fmt.Errorf("harness: %s is not a registry configuration or its one-core form", r.Config.Name)
+		var err error
+		if jobs[i], err = o.repJob(r); err != nil {
+			return nil, err
 		}
 	}
 	outs, err := o.engine().RunAll(jobs)
@@ -206,6 +210,31 @@ func (o Options) simulateCPU(reps []hetsim.CPUView) ([]hetsim.CPUResult, error) 
 		res[i] = v.(hetsim.CPUResult)
 	}
 	return res, nil
+}
+
+// cpuRegistry maps each hetsim.CPUConfigs entry's name to it. Building
+// the list prices every assignment, so it is built once.
+var cpuRegistry = sync.OnceValue(func() map[string]hetsim.CPUConfig {
+	m := make(map[string]hetsim.CPUConfig)
+	for _, c := range hetsim.CPUConfigs() {
+		m[c.Name] = c
+	}
+	return m
+})
+
+// repJob is the engine job of a timing representative: a registry
+// configuration runs under its stock key, its one-core form under the
+// "cores=1" component key.
+func (o Options) repJob(r hetsim.CPUView) (engine.Job, error) {
+	if stock, ok := cpuRegistry()[r.Config.Name]; ok {
+		switch r.Config {
+		case stock:
+			return o.cpuJob(stock, r.Profile), nil
+		case hetsim.SingleCore(stock):
+			return o.socComponentJob(r.Config, r.Profile), nil
+		}
+	}
+	return engine.Job{}, fmt.Errorf("harness: %s is not a registry configuration or its one-core form", r.Config.Name)
 }
 
 // storePriced gives each priced view of a stock configuration its stock

@@ -25,6 +25,10 @@ func (o Options) cmpJob(config string, prof trace.Profile) engine.Job {
 	}
 }
 
+// migrationCMPs are the CMP machines of the migration comparison: with
+// and without barrier-aware migration.
+var migrationCMPs = []string{"HeteroCMP", "HeteroCMP-nomig"}
+
 // Migration reproduces the Section VIII comparison: the 4-core AdvHet
 // multicore against an iso-area heterogeneous CMP (2 all-CMOS + 2
 // all-TFET cores) with barrier-aware thread migration. The paper states
@@ -45,11 +49,10 @@ func Migration(opts Options) (Table, error) {
 
 	jobs := make([]engine.Job, 0, 3*len(profiles))
 	for _, p := range profiles {
-		jobs = append(jobs,
-			opts.cpuJob(adv, p),
-			opts.cmpJob("HeteroCMP", p),
-			opts.cmpJob("HeteroCMP-nomig", p),
-		)
+		jobs = append(jobs, opts.cpuJob(adv, p))
+		for _, c := range migrationCMPs {
+			jobs = append(jobs, opts.cmpJob(c, p))
+		}
 	}
 	outs, err := opts.engine().RunAll(jobs)
 	if err != nil {

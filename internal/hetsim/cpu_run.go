@@ -33,6 +33,10 @@ type RunOpts struct {
 	// Obs receives metrics, trace events, progress and the run record;
 	// nil disables all observability at the cost of one pointer check.
 	Obs *obs.Observer
+	// Streams, when non-nil, supplies each core's instruction stream
+	// from a store shared with other runs instead of a private
+	// generator. The streams are the same, so results are too.
+	Streams *trace.StreamStore
 }
 
 // withDefaults fills unset options.
@@ -285,9 +289,10 @@ type measured struct {
 }
 
 // run builds the cores, warms them up, snapshots the counters and runs
-// the measured region round-robin. With a tracer, pid's timeline gets an
-// IPC counter per round and every core its warmup and measure spans at
-// its own clock.
+// the measured region round-robin. Core i reads stream i of opts.Streams
+// or, without a store, its own generator. With a tracer, pid's timeline
+// gets an IPC counter per round and every core its warmup and measure
+// spans at its own clock.
 func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, error) {
 	hier, err := cache.NewHierarchy(s.hier)
 	if err != nil {
@@ -295,12 +300,20 @@ func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, err
 	}
 	n := len(s.cores)
 	cores := make([]*cpu.Core, n)
+	gens := make([]*trace.Generator, 0, n)
 	for i, cfg := range s.cores {
-		gen, err := trace.NewGenerator(prof, opts.Seed, i)
+		var src cpu.InstSource
+		if opts.Streams != nil {
+			src, err = opts.Streams.Reader(prof, opts.Seed, i)
+		} else {
+			var gen *trace.Generator
+			gen, err = trace.NewGenerator(prof, opts.Seed, i)
+			gens, src = append(gens, gen), gen
+		}
 		if err != nil {
 			return measured{}, err
 		}
-		if cores[i], err = cpu.NewCore(cfg, memPort{h: hier, core: i}, gen); err != nil {
+		if cores[i], err = cpu.NewCore(cfg, memPort{h: hier, core: i}, src); err != nil {
 			return measured{}, err
 		}
 	}
@@ -358,6 +371,14 @@ func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, err
 	}
 	hierSnap := hier.Counts()
 	runInterleaved(append([]uint64(nil), s.quota...), opts.ChunkInstructions)
+
+	if reg := opts.Obs.Reg(); reg != nil {
+		var synth uint64
+		for _, g := range gens {
+			synth += g.Generated()
+		}
+		reg.Counter(trace.SynthesizedCounter).Add(synth)
+	}
 
 	m := measured{stats: make([]cpu.Stats, n), counts: hier.Counts().Delta(hierSnap), occ: hier.Occupancy()}
 	for i, c := range cores {

@@ -195,3 +195,25 @@ func TestFormatAttribution(t *testing.T) {
 		t.Errorf("not sorted by share:\n%s", out)
 	}
 }
+
+// TestEnergyTotalIndependentOfMapOrder: the energy-total gauge is a
+// pure function of the record. These seven components sum to totals a
+// picojoule apart in different orders, so a sum in map iteration order
+// gives two different gauges over 100 adds.
+func TestEnergyTotalIndependentOfMapOrder(t *testing.T) {
+	rec := RunRecord{Kind: "cpu", EnergyJ: map[string]float64{
+		"core_dyn": 72790.69671916575, "core_leak": 85541.02830308332,
+		"l2_dyn": 87387.60725343955, "l2_leak": 25429.079453623373,
+		"l3_dyn": 71737.05912065132, "l3_leak": 41485.30152268101,
+		"dram": 36413.54109985501,
+	}}
+	seen := make(map[float64]int)
+	for i := 0; i < 100; i++ {
+		o := &Observer{Metrics: NewRegistry()}
+		o.AddRecord(rec)
+		seen[o.Metrics.Snapshot().Gauges["sim.cpu.energy_j.total"]]++
+	}
+	if len(seen) != 1 {
+		t.Errorf("100 adds of one record gave %d different totals: %v", len(seen), seen)
+	}
+}

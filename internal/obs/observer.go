@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -134,6 +135,19 @@ func (o *Observer) SetPhase(name string) {
 	o.Progress.SetLabel(name)
 }
 
+// WithPhase returns an observer that shares o's endpoints but labels
+// the run records added through it with name, whatever o's phase is
+// then. A plan that runs several experiments' simulations at once
+// gives each its own. Nil stays nil.
+func (o *Observer) WithPhase(name string) *Observer {
+	if o == nil {
+		return nil
+	}
+	return &Observer{Metrics: o.Metrics, Trace: o.Trace, Records: o.Records,
+		Progress: o.Progress, Series: o.Series, Events: o.Events,
+		SampleInterval: o.SampleInterval, phase: name}
+}
+
 // Phase returns the current experiment label.
 func (o *Observer) Phase() string {
 	if o == nil {
@@ -169,10 +183,17 @@ func (o *Observer) AddRecord(r RunRecord) {
 	for k, v := range r.CycleAttribution {
 		reg.Counter("sim." + r.Kind + ".cycles." + k).Add(v)
 	}
-	var total float64
+	// The total sums the components in sorted order: a sum in map order
+	// can round to a different fixed-point total from run to run.
+	keys := make([]string, 0, len(r.EnergyJ))
 	for k, v := range r.EnergyJ {
 		reg.Gauge("sim." + r.Kind + ".energy_j." + k).Add(v)
-		total += v
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var total float64
+	for _, k := range keys {
+		total += r.EnergyJ[k]
 	}
 	if total > 0 {
 		reg.Gauge("sim." + r.Kind + ".energy_j.total").Add(total)

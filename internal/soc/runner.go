@@ -49,17 +49,30 @@ func MeasureComponents(wl Workload, seed, totalInstr uint64, needKernel bool) (C
 // (hetsim.RunPriced). The harness passes engine jobs as sim;
 // MeasureCoreRuns passes hetsim.Simulate.
 func CoreRuns(profs []trace.Profile, o *obs.Observer, sim hetsim.Simulator) ([]hetsim.CPUResult, error) {
-	views := make([]hetsim.CPUView, 0, 2*len(profs))
-	for _, p := range profs {
-		for _, cn := range []string{CMOSCoreConfig, TFETCoreConfig} {
-			cfg, err := hetsim.CPUConfigByName(cn)
-			if err != nil {
-				return nil, err
-			}
-			views = append(views, hetsim.CPUView{Config: hetsim.SingleCore(cfg), Profile: p})
-		}
+	views, err := CoreViews(profs)
+	if err != nil {
+		return nil, err
 	}
 	return hetsim.RunPriced(views, o, sim)
+}
+
+// CoreViews returns the views CoreRuns prices, in its result order.
+func CoreViews(profs []trace.Profile) ([]hetsim.CPUView, error) {
+	var cores [2]hetsim.CPUConfig
+	for i, cn := range []string{CMOSCoreConfig, TFETCoreConfig} {
+		cfg, err := hetsim.CPUConfigByName(cn)
+		if err != nil {
+			return nil, err
+		}
+		cores[i] = hetsim.SingleCore(cfg)
+	}
+	views := make([]hetsim.CPUView, 0, 2*len(profs))
+	for _, p := range profs {
+		for _, cfg := range cores {
+			views = append(views, hetsim.CPUView{Config: cfg, Profile: p})
+		}
+	}
+	return views, nil
 }
 
 // FillKernel derives the GPU component and both accelerator builds from

@@ -128,6 +128,13 @@ cmp results_full.txt "$tmp/all-cold.txt" || {
     echo "hetcore all output differs from results_full.txt" >&2
     exit 1
 }
+# The exact job count: a CPU pre-pass that added a key, dropped one or
+# simulated one twice would move it.
+if ! grep -q '"engine_jobs_run": 13087' "$tmp/all-cold.json"; then
+    echo "cold hetcore all ran a different number of engine jobs than 13087:" >&2
+    grep '"engine_' "$tmp/all-cold.json" >&2
+    exit 1
+fi
 # A report diffed against itself at zero tolerance must pass, and must
 # print the same table every time (a warm report has no run records, so
 # the cold one is used).
@@ -147,6 +154,11 @@ cmp results_full.txt "$tmp/all-warm.txt" || {
 }
 if ! grep -q '"engine_jobs_run": 0' "$tmp/all-warm.json"; then
     echo "cached hetcore all still simulated (engine_jobs_run != 0):" >&2
+    grep '"engine_' "$tmp/all-warm.json" >&2
+    exit 1
+fi
+if ! grep -q '"engine_disk_hits": 13087' "$tmp/all-warm.json"; then
+    echo "cached hetcore all read a different number of disk entries than 13087:" >&2
     grep '"engine_' "$tmp/all-warm.json" >&2
     exit 1
 fi
