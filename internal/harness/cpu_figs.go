@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"hetcore/internal/device"
 	"hetcore/internal/dist"
@@ -105,13 +104,12 @@ func (o Options) cpuKey(config, workload string) engine.Key {
 		Seed: o.Seed, Instr: o.Instructions}
 }
 
-// cpuJob declares one stock CPU run as an engine job, routed through
-// the hetsim runner registry like every other device kind.
+// cpuJob declares one stock CPU run as an engine job.
 func (o Options) cpuJob(cfg hetsim.CPUConfig, prof trace.Profile) engine.Job {
 	return engine.Job{
 		Key: o.cpuKey(cfg.Name, prof.Name),
 		Run: func() (any, error) {
-			res, err := hetsim.RunDevice("cpu", cfg.Name, prof.Name, o.runOpts())
+			res, err := hetsim.RunCPU(cfg, prof, o.runOpts())
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s/%s: %w", cfg.Name, prof.Name, err)
 			}
@@ -212,21 +210,11 @@ func (o Options) simulateCPU(reps []hetsim.CPUView) ([]hetsim.CPUResult, error) 
 	return res, nil
 }
 
-// cpuRegistry maps each hetsim.CPUConfigs entry's name to it. Building
-// the list prices every assignment, so it is built once.
-var cpuRegistry = sync.OnceValue(func() map[string]hetsim.CPUConfig {
-	m := make(map[string]hetsim.CPUConfig)
-	for _, c := range hetsim.CPUConfigs() {
-		m[c.Name] = c
-	}
-	return m
-})
-
 // repJob is the engine job of a timing representative: a registry
 // configuration runs under its stock key, its one-core form under the
 // "cores=1" component key.
 func (o Options) repJob(r hetsim.CPUView) (engine.Job, error) {
-	if stock, ok := cpuRegistry()[r.Config.Name]; ok {
+	if stock, err := hetsim.CPUConfigByName(r.Config.Name); err == nil {
 		switch r.Config {
 		case stock:
 			return o.cpuJob(stock, r.Profile), nil

@@ -31,13 +31,12 @@ func (o Options) gpuKey(config, kernel string) engine.Key {
 	return engine.Key{Device: "gpu", Config: config, Workload: kernel, Seed: o.Seed}
 }
 
-// gpuJob declares one stock GPU run as an engine job, routed through
-// the hetsim runner registry like every other device kind.
+// gpuJob declares one stock GPU run as an engine job.
 func (o Options) gpuJob(cfg hetsim.GPUConfig, k gpu.Kernel) engine.Job {
 	return engine.Job{
 		Key: o.gpuKey(cfg.Name, k.Name),
 		Run: func() (any, error) {
-			res, err := hetsim.RunDevice("gpu", cfg.Name, k.Name, o.runOpts())
+			res, err := hetsim.RunGPUObserved(cfg, k, o.Seed, o.Obs)
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s/%s: %w", cfg.Name, k.Name, err)
 			}

@@ -8,15 +8,18 @@ import (
 	"hetcore/internal/trace"
 )
 
-// cmpJob declares one heterogeneous-CMP run as an engine job, routed
-// through the hetsim runner registry ("cmp" device namespace; config
-// names the machine variant).
+// cmpJob declares one heterogeneous-CMP run as an engine job ("cmp"
+// device namespace; config names the machine, hetsim.HeteroCMPByName).
 func (o Options) cmpJob(config string, prof trace.Profile) engine.Job {
 	return engine.Job{
 		Key: engine.Key{Device: "cmp", Config: config, Workload: prof.Name,
 			Seed: o.Seed, Instr: o.Instructions},
 		Run: func() (any, error) {
-			res, err := hetsim.RunDevice("cmp", config, prof.Name, o.runOpts())
+			hc, err := hetsim.HeteroCMPByName(config)
+			if err != nil {
+				return nil, err
+			}
+			res, err := hetsim.RunHeteroCMP(hc, prof, o.runOpts())
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s/%s: %w", config, prof.Name, err)
 			}

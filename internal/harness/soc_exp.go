@@ -70,9 +70,9 @@ func (o Options) socComponentJob(cfg hetsim.CPUConfig, prof trace.Profile) engin
 // through the engine and returns them keyed by workload name. The core
 // components come from soc.CoreRuns (one BaseCMOS simulation per
 // workload, BaseTFET priced from it) and one kernel measurement per
-// workload fills the GPU component and both accelerator builds
-// (soc.Components.FillKernel), exactly as the remote runner path does,
-// so both paths stay bit-equal.
+// workload fills the GPU component and both accelerator builds.
+// soc.ComponentsOf assembles them, as it does on the remote path, so
+// both paths stay bit-equal.
 func socComponents(opts Options, wls []soc.Workload, needKernel bool) (map[string]soc.Components, error) {
 	profs := make([]trace.Profile, len(wls))
 	for i, wl := range wls {
@@ -85,7 +85,7 @@ func socComponents(opts Options, wls []soc.Workload, needKernel bool) (map[strin
 	if err != nil {
 		return nil, err
 	}
-	var kernels []any
+	var kernels []hetsim.GPUResult
 	if needKernel {
 		gcfg, err := hetsim.GPUConfigByName(soc.GPUConfig)
 		if err != nil {
@@ -99,25 +99,22 @@ func socComponents(opts Options, wls []soc.Workload, needKernel bool) (map[strin
 			}
 			jobs[i] = opts.gpuJob(gcfg, kern)
 		}
-		if kernels, err = opts.engine().RunAll(jobs); err != nil {
+		outs, err := opts.engine().RunAll(jobs)
+		if err != nil {
 			return nil, err
 		}
+		kernels = make([]hetsim.GPUResult, len(outs))
+		for i, out := range outs {
+			kernels[i] = out.(hetsim.GPUResult)
+		}
+	}
+	list, err := soc.ComponentsOf(cores, kernels)
+	if err != nil {
+		return nil, err
 	}
 	comps := make(map[string]soc.Components, len(wls))
 	for i, wl := range wls {
-		var c soc.Components
-		if c.CMOS, err = soc.CoreComponentOf(cores[2*i]); err != nil {
-			return nil, err
-		}
-		if c.TFET, err = soc.CoreComponentOf(cores[2*i+1]); err != nil {
-			return nil, err
-		}
-		if needKernel {
-			if err := c.FillKernel(kernels[i].(hetsim.GPUResult)); err != nil {
-				return nil, err
-			}
-		}
-		comps[wl.Name] = c
+		comps[wl.Name] = list[i]
 	}
 	return comps, nil
 }

@@ -58,7 +58,7 @@ func trafficVariant(tr traffic.Trace, fileTrace bool, k TrafficKnobs) string {
 
 // trafficServices measures the fixed mix's service stats through the
 // engine: per workload, the same 1-core component runs the SoC search
-// uses (soc.CoreRuns), reduced by traffic.ServiceOf.
+// uses (soc.CoreRuns), reduced by traffic.ServicesOf.
 func trafficServices(opts Options) ([]traffic.Service, error) {
 	wls := traffic.MixWorkloads()
 	profs := make([]trace.Profile, len(wls))
@@ -72,13 +72,7 @@ func trafficServices(opts Options) ([]traffic.Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	services := make([]traffic.Service, len(wls))
-	for i := range wls {
-		if services[i], err = traffic.ServiceOf(runs[2*i], runs[2*i+1]); err != nil {
-			return nil, err
-		}
-	}
-	return services, nil
+	return traffic.ServicesOf(runs)
 }
 
 // TrafficReport evaluates the scenario matrix (mixes × policies) on one

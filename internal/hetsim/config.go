@@ -7,7 +7,9 @@ package hetsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"hetcore/internal/cache"
 	"hetcore/internal/cpu"
@@ -108,7 +110,47 @@ func assignAdvHet() energy.CPUAssign {
 
 // CPUConfigs returns every CPU configuration of Table IV, plus AdvHet-2X
 // (Section VII-A1: 8 AdvHet cores under BaseCMOS's 4-core power budget).
-func CPUConfigs() []CPUConfig {
+// The result is the caller's copy of a table built once.
+func CPUConfigs() []CPUConfig { return slices.Clone(cpuTable().list) }
+
+// CPUConfigByName returns the named configuration.
+func CPUConfigByName(name string) (CPUConfig, error) { return cpuTable().byName(name) }
+
+// cpuTable is the CPU configurations, built and priced on first use.
+var cpuTable = sync.OnceValue(func() configTable[CPUConfig] {
+	return newConfigTable("CPU", buildCPUConfigs(), func(c CPUConfig) string { return c.Name })
+})
+
+// configTable is a configuration list built once, indexed by name.
+type configTable[C any] struct {
+	kind  string
+	list  []C
+	index map[string]int
+}
+
+func newConfigTable[C any](kind string, list []C, name func(C) string) configTable[C] {
+	t := configTable[C]{kind: kind, list: list, index: make(map[string]int, len(list))}
+	for i, c := range list {
+		t.index[name(c)] = i
+	}
+	return t
+}
+
+// byName returns the named configuration, or an error listing the names.
+func (t configTable[C]) byName(name string) (C, error) {
+	if i, ok := t.index[name]; ok {
+		return t.list[i], nil
+	}
+	names := make([]string, 0, len(t.index))
+	for n := range t.index {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var zero C
+	return zero, fmt.Errorf("hetsim: unknown %s config %q (have %v)", t.kind, name, names)
+}
+
+func buildCPUConfigs() []CPUConfig {
 	var out []CPUConfig
 
 	// BaseCMOS: all-CMOS core.
@@ -250,20 +292,4 @@ func SingleCore(cfg CPUConfig) CPUConfig {
 	cfg.Cores = 1
 	cfg.Hier.Cores = 1
 	return cfg
-}
-
-// CPUConfigByName returns the named configuration.
-func CPUConfigByName(name string) (CPUConfig, error) {
-	cfgs := CPUConfigs()
-	for _, c := range cfgs {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	names := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		names[i] = c.Name
-	}
-	sort.Strings(names)
-	return CPUConfig{}, fmt.Errorf("hetsim: unknown CPU config %q (have %v)", name, names)
 }

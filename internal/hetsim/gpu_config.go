@@ -1,8 +1,8 @@
 package hetsim
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"hetcore/internal/energy"
 	"hetcore/internal/gpu"
@@ -18,7 +18,18 @@ type GPUConfig struct {
 
 // GPUConfigs returns the four Table IV GPU configurations plus AdvHet-2X
 // (Section VII-B1: 16 compute units under the BaseCMOS power budget).
-func GPUConfigs() []GPUConfig {
+// The result is the caller's copy of a table built once.
+func GPUConfigs() []GPUConfig { return slices.Clone(gpuTable().list) }
+
+// GPUConfigByName returns the named GPU configuration.
+func GPUConfigByName(name string) (GPUConfig, error) { return gpuTable().byName(name) }
+
+// gpuTable is the GPU configurations, built on first use.
+var gpuTable = sync.OnceValue(func() configTable[GPUConfig] {
+	return newConfigTable("GPU", buildGPUConfigs(), func(c GPUConfig) string { return c.Name })
+})
+
+func buildGPUConfigs() []GPUConfig {
 	var out []GPUConfig
 
 	// BaseCMOS: all-CMOS GPU *with* the register file cache (the paper
@@ -86,20 +97,4 @@ func GPUConfigs() []GPUConfig {
 	})
 
 	return out
-}
-
-// GPUConfigByName returns the named GPU configuration.
-func GPUConfigByName(name string) (GPUConfig, error) {
-	cfgs := GPUConfigs()
-	for _, c := range cfgs {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	names := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		names[i] = c.Name
-	}
-	sort.Strings(names)
-	return GPUConfig{}, fmt.Errorf("hetsim: unknown GPU config %q (have %v)", name, names)
 }

@@ -44,6 +44,21 @@ func DefaultHeteroCMP() HeteroCMPConfig {
 	return HeteroCMPConfig{CMOSCores: 2, TFETCores: 2, Migrate: true}
 }
 
+// HeteroCMPByName returns a named machine of the migration comparison:
+// "HeteroCMP" is DefaultHeteroCMP and "HeteroCMP-nomig" the same machine
+// without migration.
+func HeteroCMPByName(name string) (HeteroCMPConfig, error) {
+	hc := DefaultHeteroCMP()
+	switch name {
+	case "HeteroCMP":
+	case "HeteroCMP-nomig":
+		hc.Migrate = false
+	default:
+		return HeteroCMPConfig{}, fmt.Errorf("hetsim: unknown cmp config %q (have [HeteroCMP HeteroCMP-nomig])", name)
+	}
+	return hc, nil
+}
+
 // HeteroCMPResult is the measurement of one heterogeneous-CMP run.
 type HeteroCMPResult struct {
 	Config   HeteroCMPConfig
@@ -63,8 +78,8 @@ func (r HeteroCMPResult) ED2() float64 {
 }
 
 // HeteroCMPResult implements the device-independent Result surface. The
-// config name folds the migration flag in, matching the cmp runner's
-// config namespace.
+// config name folds the migration flag in, matching the names
+// HeteroCMPByName accepts.
 var _ Result = HeteroCMPResult{}
 
 func (r HeteroCMPResult) DeviceKind() string { return "cmp" }

@@ -75,7 +75,7 @@ func Reprice(r CPUResult, from, to CPUConfig, cmosAdj, tfetAdj energy.Scale) (CP
 // representative. A configuration outside every class stands for
 // itself.
 func TimingRep(cfg CPUConfig) CPUConfig {
-	for _, c := range CPUConfigs() {
+	for _, c := range cpuTable().list {
 		for _, cand := range []CPUConfig{c, SingleCore(c)} {
 			if SameTiming(cand, cfg) {
 				return cand

@@ -109,7 +109,7 @@ func (o *Observer) AddEvent(e Event) {
 
 // FinishRecord stamps the host-timing fields on rec — wall-clock seconds
 // since start and the simulation rate over simInstr (count warmup work
-// too: it is host effort) — then adds the record. Every device runner
+// too: it is host effort) — then adds the record. Every device kind
 // ends its run through this one helper so host timing is attached
 // uniformly. No-op when disabled.
 func (o *Observer) FinishRecord(rec RunRecord, start time.Time, simInstr uint64) {

@@ -15,31 +15,77 @@ import (
 // (they rescale the same run), so any mix with CUs or accelerator units
 // asks for the kernel. The engine-based search in the harness computes
 // the same components through memoized run-plan jobs; both paths
-// execute the same pure functions of (workload, seed, instruction
-// budget), so a design point evaluates identically whether it runs
-// locally, from cache or on a remote daemon.
+// assemble them with ComponentsOf from the same pure functions of
+// (workload, seed, instruction budget), so a design point evaluates
+// identically whether it runs locally, from cache or on a remote daemon.
 func MeasureComponents(wl Workload, seed, totalInstr uint64, needKernel bool) (Components, error) {
-	runs, err := MeasureCoreRuns([]string{wl.Name}, seed, totalInstr)
+	cores, err := MeasureCoreRuns([]string{wl.Name}, seed, totalInstr)
 	if err != nil {
 		return Components{}, err
 	}
-	var comps Components
-	if comps.CMOS, err = CoreComponentOf(runs[0]); err != nil {
-		return Components{}, err
-	}
-	if comps.TFET, err = CoreComponentOf(runs[1]); err != nil {
-		return Components{}, err
-	}
+	var kernels []hetsim.GPUResult
 	if needKernel {
 		gres, err := measureKernel(wl.Kernel, seed)
 		if err != nil {
 			return Components{}, err
 		}
-		if err := comps.FillKernel(gres); err != nil {
-			return Components{}, err
+		kernels = []hetsim.GPUResult{gres}
+	}
+	comps, err := ComponentsOf(cores, kernels)
+	if err != nil {
+		return Components{}, err
+	}
+	return comps[0], nil
+}
+
+// ComponentsOf assembles each workload's components from its runs:
+// cores in CoreRuns order (the CMOS and TFET runs of workload i at 2i
+// and 2i+1) and, unless kernels is nil, the AdvHet kernel run of
+// workload i at kernels[i], which fills the GPU component and both
+// accelerator builds.
+func ComponentsOf(cores []hetsim.CPUResult, kernels []hetsim.GPUResult) ([]Components, error) {
+	out := make([]Components, len(cores)/2)
+	for i := range out {
+		c := &out[i]
+		var err error
+		if c.CMOS, err = CoreComponentOf(cores[2*i]); err != nil {
+			return nil, err
+		}
+		if c.TFET, err = CoreComponentOf(cores[2*i+1]); err != nil {
+			return nil, err
+		}
+		if kernels == nil {
+			continue
+		}
+		if c.GPU, err = GPUComponentOf(kernels[i]); err != nil {
+			return nil, err
+		}
+		if c.AccelCMOS, err = AccelComponentOf(kernels[i], AccelCMOS); err != nil {
+			return nil, err
+		}
+		if c.AccelTFET, err = AccelComponentOf(kernels[i], AccelTFET); err != nil {
+			return nil, err
 		}
 	}
-	return comps, nil
+	return out, nil
+}
+
+// Run evaluates the mix on the workload as a daemon does from a key
+// soc/<mix>/<workload>/s<seed>/i<instr> alone: it measures its own
+// components (MeasureComponents) and evaluates the mix on them.
+func Run(cfg Config, wl Workload, opts hetsim.RunOpts) (Result, error) {
+	wallStart := time.Now()
+	comps, err := MeasureComponents(wl, opts.Seed, opts.TotalInstructions,
+		cfg.GPUCUs > 0 || cfg.AccelUnits > 0)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := Evaluate(cfg, wl, opts.TotalInstructions, comps)
+	if err != nil {
+		return Result{}, err
+	}
+	opts.Obs.FinishRecord(res.Record(opts.Seed), wallStart, res.Instructions)
+	return res, nil
 }
 
 // CoreRuns returns the 1-core CMOS and TFET core runs of every profile:
@@ -73,69 +119,4 @@ func CoreViews(profs []trace.Profile) ([]hetsim.CPUView, error) {
 		}
 	}
 	return views, nil
-}
-
-// FillKernel derives the GPU component and both accelerator builds from
-// one kernel measurement. Harness and remote paths both go through this,
-// so every path reconstructs bit-identical components from the same run.
-func (c *Components) FillKernel(r hetsim.GPUResult) error {
-	var err error
-	if c.GPU, err = GPUComponentOf(r); err != nil {
-		return err
-	}
-	if c.AccelCMOS, err = AccelComponentOf(r, AccelCMOS); err != nil {
-		return err
-	}
-	c.AccelTFET, err = AccelComponentOf(r, AccelTFET)
-	return err
-}
-
-// The SoC registers as a fourth device kind: the harness, the dist
-// resolver and RunDevice drive it exactly like cpu/gpu/cmp. A job keyed
-// soc/<mix>/<workload>/s<seed>/i<instr> is self-contained — this Run
-// measures its own components — which is what lets remote daemons
-// execute SoC design points from the key alone.
-func init() {
-	hetsim.RegisterRunner(hetsim.Runner{
-		Device:     "soc",
-		InstrInKey: true,
-		Configs: func() []string {
-			space := DefaultSpace()
-			names := make([]string, len(space))
-			for i, cfg := range space {
-				names[i] = cfg.Name()
-			}
-			return names
-		},
-		Workloads: func() []string {
-			wls := Workloads()
-			names := make([]string, len(wls))
-			for i, w := range wls {
-				names[i] = w.Name
-			}
-			return names
-		},
-		Run: func(config, workload string, opts hetsim.RunOpts) (hetsim.Result, error) {
-			cfg, err := ParseConfig(config)
-			if err != nil {
-				return nil, err
-			}
-			wl, err := WorkloadByName(workload)
-			if err != nil {
-				return nil, err
-			}
-			wallStart := time.Now()
-			comps, err := MeasureComponents(wl, opts.Seed, opts.TotalInstructions,
-				cfg.GPUCUs > 0 || cfg.AccelUnits > 0)
-			if err != nil {
-				return nil, err
-			}
-			res, err := Evaluate(cfg, wl, opts.TotalInstructions, comps)
-			if err != nil {
-				return nil, err
-			}
-			opts.Obs.FinishRecord(res.Record(opts.Seed), wallStart, res.Instructions)
-			return res, nil
-		},
-	})
 }

@@ -335,9 +335,9 @@ func TestSummarizeAndPareto(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesEvaluate checks the registered "soc" device runner —
-// the path remote daemons take — returns the same result as the
-// in-process Evaluate over pre-measured components.
+// TestRunnerMatchesEvaluate checks Run — the path remote daemons take
+// for a soc key — returns the same result as the in-process Evaluate
+// over pre-measured components.
 func TestRunnerMatchesEvaluate(t *testing.T) {
 	const instr = 50_000
 	wl, comps := measure(t, "radix", instr, false)
@@ -345,15 +345,11 @@ func TestRunnerMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hetsim.RunDevice("soc", "c1t2g0", "radix", hetsim.RunOpts{
+	res, err := Run(Config{CMOSCores: 1, TFETCores: 2}, wl, hetsim.RunOpts{
 		TotalInstructions: instr, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	res, ok := got.(Result)
-	if !ok {
-		t.Fatalf("RunDevice returned %T, want soc.Result", got)
 	}
 	if res != want {
 		t.Errorf("runner result differs from Evaluate:\n got %+v\nwant %+v", res, want)

@@ -1,96 +1,49 @@
 package traffic
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
+	"hetcore/internal/governor"
 	"hetcore/internal/hetsim"
 	"hetcore/internal/soc"
 )
 
 // A traffic scenario names a core mix and a policy: "<mix>+<policy>",
 // e.g. "c4t4g0+cacheaware". "+" is engine-key safe, and neither the soc
-// grammar nor policy names contain it, so the split is unambiguous.
+// grammar nor policy names contain it, so each name has one reading.
 
 // ScenarioName composes the canonical scenario name.
 func ScenarioName(mix soc.Config, policy string) string {
 	return mix.Name() + "+" + policy
 }
 
-// ParseScenario splits and resolves a "<mix>+<policy>" scenario name.
-func ParseScenario(name string) (soc.Config, string, error) {
-	i := strings.IndexByte(name, '+')
-	if i < 0 {
-		return soc.Config{}, "", fmt.Errorf("traffic: scenario %q is not <mix>+<policy> (e.g. %q)",
-			name, "c4t4g0+cacheaware")
-	}
-	cfg, err := soc.ParseConfig(name[:i])
-	if err != nil {
-		return soc.Config{}, "", err
-	}
-	if _, err := PolicyByName(name[i+1:]); err != nil {
-		return soc.Config{}, "", err
-	}
-	return cfg, name[i+1:], nil
-}
-
 // DefaultMixes is the scenario matrix's core-mix axis: the paper's
 // balanced hetero mix against an all-CMOS fleet of the same core count.
 var DefaultMixes = []string{"c4t4g0", "c8t0g0"}
 
-// The traffic simulator registers as a fifth device kind. A job keyed
-// traffic/<mix>+<policy>/<trace>/s<seed>/i<instr> is self-contained —
-// Run measures its own per-workload services (sharing the soc search's
-// "cores=1" component arithmetic) and simulates with stock knobs
-// (default request size, SLO, no power budget). Non-default knobs or
-// file traces go through harness Variant keys instead, which never
+// Run simulates the scenario on the trace as a daemon does from a key
+// traffic/<mix>+<policy>/<trace>/s<seed>/i<instr> alone: it measures its
+// own per-workload services (MeasureServices) and simulates with stock
+// knobs (default request size, SLO, no power budget). Non-default knobs
+// or file traces go through harness Variant keys instead, which never
 // resolve remotely.
-func init() {
-	hetsim.RegisterRunner(hetsim.Runner{
-		Device:     "traffic",
-		InstrInKey: true,
-		Configs: func() []string {
-			var out []string
-			for _, m := range DefaultMixes {
-				for _, p := range PolicyNames() {
-					out = append(out, m+"+"+p)
-				}
-			}
-			return out
-		},
-		Workloads: TraceNames,
-		Run: func(config, workload string, opts hetsim.RunOpts) (hetsim.Result, error) {
-			mix, policyName, err := ParseScenario(config)
-			if err != nil {
-				return nil, err
-			}
-			policy, err := PolicyByName(policyName)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := TraceByName(workload)
-			if err != nil {
-				return nil, err
-			}
-			wallStart := time.Now()
-			services, err := MeasureServices(MixWorkloads(), opts.Seed, opts.TotalInstructions)
-			if err != nil {
-				return nil, err
-			}
-			res, err := Simulate(SimOptions{
-				SoC:      mix,
-				Policy:   policy,
-				Trace:    tr,
-				Services: services,
-				Seed:     opts.Seed,
-				Obs:      opts.Obs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			opts.Obs.FinishRecord(res.Record(opts.Seed), wallStart, res.Completed*res.ReqInstr)
-			return res, nil
-		},
+func Run(mix soc.Config, policy governor.Scheduler, tr Trace, opts hetsim.RunOpts) (Result, error) {
+	wallStart := time.Now()
+	services, err := MeasureServices(MixWorkloads(), opts.Seed, opts.TotalInstructions)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := Simulate(SimOptions{
+		SoC:      mix,
+		Policy:   policy,
+		Trace:    tr,
+		Services: services,
+		Seed:     opts.Seed,
+		Obs:      opts.Obs,
 	})
+	if err != nil {
+		return Result{}, err
+	}
+	opts.Obs.FinishRecord(res.Record(opts.Seed), wallStart, res.Completed*res.ReqInstr)
+	return res, nil
 }

@@ -46,11 +46,9 @@ func classStatsOf(r hetsim.CPUResult) (ClassStats, error) {
 	}, nil
 }
 
-// ServiceOf builds one mix entry from the workload's 1-core CMOS and
-// TFET component runs. Both the harness (engine jobs) and the runner path
-// (direct measurement) construct services through this one function, so
-// a traffic scenario evaluates bit-identically wherever it runs.
-func ServiceOf(cmos, tfet hetsim.CPUResult) (Service, error) {
+// serviceOf builds one mix entry from the workload's 1-core CMOS and
+// TFET component runs.
+func serviceOf(cmos, tfet hetsim.CPUResult) (Service, error) {
 	if cmos.Workload != tfet.Workload {
 		return Service{}, fmt.Errorf("traffic: component runs disagree on workload (%s vs %s)",
 			cmos.Workload, tfet.Workload)
@@ -93,9 +91,19 @@ func MeasureServices(workloads []string, seed, totalInstr uint64) ([]Service, er
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Service, len(workloads))
-	for i := range workloads {
-		if out[i], err = ServiceOf(runs[2*i], runs[2*i+1]); err != nil {
+	return ServicesOf(runs)
+}
+
+// ServicesOf builds the mix from its component runs in soc.CoreRuns
+// order: the CMOS and TFET runs of workload i at 2i and 2i+1. The
+// harness (engine jobs) and MeasureServices (direct runs) both build
+// services through it, so a traffic scenario evaluates bit-identically
+// wherever it runs.
+func ServicesOf(runs []hetsim.CPUResult) ([]Service, error) {
+	out := make([]Service, len(runs)/2)
+	for i := range out {
+		var err error
+		if out[i], err = serviceOf(runs[2*i], runs[2*i+1]); err != nil {
 			return nil, err
 		}
 	}

@@ -164,22 +164,3 @@ func TestSimulateErrors(t *testing.T) {
 		t.Error("a coreless mix cannot serve requests")
 	}
 }
-
-func TestParseScenario(t *testing.T) {
-	cfg, policy, err := ParseScenario("c4t4g0+cacheaware")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Name() != "c4t4g0" || policy != "cacheaware" {
-		t.Errorf("got (%s, %s)", cfg.Name(), policy)
-	}
-	if _, _, err := ParseScenario("c4t4g0"); err == nil {
-		t.Error("missing policy should fail")
-	}
-	if _, _, err := ParseScenario("c4t4g0+bogus"); err == nil {
-		t.Error("unknown policy should fail")
-	}
-	if _, _, err := ParseScenario("nope+naive"); err == nil {
-		t.Error("bad mix should fail")
-	}
-}

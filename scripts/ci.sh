@@ -222,6 +222,30 @@ cmp "$tmp/dist-run1.txt" "$tmp/dist-run3.txt" || {
     exit 1
 }
 
+# Every other device kind crosses the wire too: a cmp, a gpu and a
+# traffic run through the daemon must print the local run's bytes, and
+# the daemon must have executed some of their jobs.
+wire_check() {
+    # $1: a name for the files; the hetcore command and its flags follow.
+    name=$1; shift
+    "$tmp/hetcore" "$@" >"$tmp/wire-$name-local.txt"
+    "$tmp/hetcore" "$@" -remote "$addr" -metrics-out "$tmp/wire-$name.json" \
+        >"$tmp/wire-$name-remote.txt"
+    cmp "$tmp/wire-$name-local.txt" "$tmp/wire-$name-remote.txt" || {
+        echo "remote $name run output differs from the local run" >&2
+        cat "$tmp/hetserved.log" >&2
+        exit 1
+    }
+    if ! grep -q '"engine_remote_jobs": [1-9]' "$tmp/wire-$name.json"; then
+        echo "remote $name run executed no job on the daemon:" >&2
+        grep '"engine_' "$tmp/wire-$name.json" >&2
+        exit 1
+    fi
+}
+wire_check cmp run -exp migration -workloads barnes -instr 40000
+wire_check gpu run -exp fig10 -kernels Reduction
+wire_check traffic traffic -instr 40000
+
 echo "== soc gate (determinism + cached rerun) =="
 # The SoC design-space search must render byte-identical tables across
 # -jobs widths, and a second sweep against the same -cache-dir must
