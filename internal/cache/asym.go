@@ -12,9 +12,17 @@ package cache
 // the displaced FastCache line is demoted into the SlowCache — a swap, so
 // total capacity behaves like the original cache. Misses in both arrays go
 // to L2 and fill the FastCache.
+//
+// The two arrays' own counters price their energy: a fast miss reads the
+// slow array once to probe it and once more to demote the fast victim.
+// stats counts the DL1 as one cache instead: one access per request, a
+// miss only when both arrays miss, and a writeback only when a dirty line
+// leaves the DL1, so its misses equal those of a plain DL1 of the same
+// size.
 type AsymmetricDL1 struct {
-	fast *Cache
-	slow *Cache
+	fast  *Cache
+	slow  *Cache
+	stats Stats
 	// Swaps counts fast<->slow line exchanges (each costs two slow-array
 	// accesses of energy).
 	Swaps uint64
@@ -52,6 +60,11 @@ func (r AsymResult) AnyHit() bool { return r.FastHit || r.SlowHit }
 
 // Access performs a load or store.
 func (a *AsymmetricDL1) Access(addr uint64, isWrite bool) AsymResult {
+	if isWrite {
+		a.stats.Writes++
+	} else {
+		a.stats.Reads++
+	}
 	fres := a.fast.Access(addr, isWrite)
 	if fres.Hit {
 		return AsymResult{FastHit: true}
@@ -75,15 +88,26 @@ func (a *AsymmetricDL1) Access(addr uint64, isWrite bool) AsymResult {
 		// in slow as a side effect; undo it so the line lives only in
 		// fast (the MRU position). Any eviction it caused stands in
 		// for demotion pressure.
+		if isWrite {
+			a.stats.WriteMisses++
+		} else {
+			a.stats.ReadMisses++
+		}
 		a.slow.Invalidate(addr)
 		out.Result = sres // propagate the slow-array eviction, if any
 		out.Result.Hit = false
+		if sres.EvictedDirty {
+			a.stats.Writebacks++
+		}
 	}
 	// Demote the fast victim into the slow array.
 	if fres.Evicted {
 		dres := a.slow.Access(fres.EvictedAddr, false)
 		if fres.EvictedDirty {
 			a.slow.MarkDirty(fres.EvictedAddr)
+		}
+		if dres.EvictedDirty {
+			a.stats.Writebacks++
 		}
 		if dres.Evicted {
 			// A line left the DL1 entirely via demotion. Report the
@@ -97,15 +121,13 @@ func (a *AsymmetricDL1) Access(addr uint64, isWrite bool) AsymResult {
 	return out
 }
 
-// Probe reports presence in either array without state changes.
-func (a *AsymmetricDL1) Probe(addr uint64) bool {
-	return a.fast.Probe(addr) || a.slow.Probe(addr)
-}
-
 // Invalidate removes the line from both arrays (coherence).
 func (a *AsymmetricDL1) Invalidate(addr uint64) (present, dirty bool) {
 	p1, d1 := a.fast.Invalidate(addr)
 	p2, d2 := a.slow.Invalidate(addr)
+	if p1 || p2 {
+		a.stats.Invalidates++
+	}
 	return p1 || p2, d1 || d2
 }
 
@@ -118,23 +140,15 @@ func (a *AsymmetricDL1) Occupancy() float64 {
 	return float64(valid) / float64(total)
 }
 
+// Stats returns the DL1-level counters: what a plain DL1 of the same
+// size and contents would count.
+func (a *AsymmetricDL1) Stats() Stats { return a.stats }
+
 // FastStats returns the CMOS way's counters.
 func (a *AsymmetricDL1) FastStats() Stats { return a.fast.Stats() }
 
 // SlowStats returns the TFET ways' counters.
 func (a *AsymmetricDL1) SlowStats() Stats { return a.slow.Stats() }
-
-// FastHitRate returns the fraction of DL1 accesses satisfied by the CMOS
-// way — the quantity the paper reports as "only 5-20% lower than that of a
-// whole 32KB DL1".
-func (a *AsymmetricDL1) FastHitRate() float64 {
-	f := a.fast.Stats()
-	total := f.Accesses()
-	if total == 0 {
-		return 0
-	}
-	return float64(total-f.Misses()) / float64(total)
-}
 
 // MarkDirty sets the dirty bit of addr's line if present. It lets the
 // asymmetric wrapper preserve dirtiness across promotions/demotions.

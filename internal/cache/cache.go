@@ -109,23 +109,8 @@ func New(name string, size, ways, lineSize int) (*Cache, error) {
 	}, nil
 }
 
-// MustNew is New for static configurations; it panics on error.
-func MustNew(name string, size, ways, lineSize int) *Cache {
-	c, err := New(name, size, ways, lineSize)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }

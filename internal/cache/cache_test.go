@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// MustNew is New for test geometries; it panics on error.
+func MustNew(name string, size, ways, lineSize int) *Cache {
+	c, err := New(name, size, ways, lineSize)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
 		size, ways, line int
@@ -257,7 +266,7 @@ func TestAsymmetricFastHitRateOnReuse(t *testing.T) {
 			a.Access(addr, false)
 		}
 	}
-	if fr := a.FastHitRate(); fr < 0.9 {
+	if fr := a.FastStats().HitRate(); fr < 0.9 {
 		t.Errorf("fast hit rate %.3f on tight reuse, want >= 0.9", fr)
 	}
 }

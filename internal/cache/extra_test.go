@@ -1,47 +1,42 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestAccessors(t *testing.T) {
 	c := MustNew("demo", 32*1024, 8, 64)
 	if c.Name() != "demo" {
 		t.Errorf("Name = %q", c.Name())
 	}
-	if c.Sets() != 64 || c.Ways() != 8 {
-		t.Errorf("geometry = %d sets × %d ways", c.Sets(), c.Ways())
-	}
-	r, _ := NewRing(4, 2)
-	if r.Nodes() != 4 {
-		t.Errorf("Nodes = %d", r.Nodes())
-	}
-	h, _ := NewHierarchy(testConfig(1))
-	if h.Config().Cores != 1 {
-		t.Errorf("Config().Cores = %d", h.Config().Cores)
-	}
 }
 
 func TestAsymProbeAndStats(t *testing.T) {
 	a, _ := NewAsymmetricDL1(4*1024, 28*1024, 7, 64)
-	if a.Probe(0x40) {
+	present := func(addr uint64) bool { return a.fast.Probe(addr) || a.slow.Probe(addr) }
+	if present(0x40) {
 		t.Error("cold probe hit")
 	}
 	a.Access(0x40, false)
-	if !a.Probe(0x40) {
+	if !present(0x40) {
 		t.Error("probe missed resident line")
 	}
 	if a.FastStats().Accesses() == 0 {
 		t.Error("no fast accesses recorded")
 	}
-	// Demote then probe: the line lives in slow but Probe still finds it.
+	// Demote then probe: the line lives in slow but is still resident.
 	a.Access(0x40+4096, false)
-	if !a.Probe(0x40) {
+	if !a.slow.Probe(0x40) {
 		t.Error("probe missed demoted line")
 	}
 	if a.SlowStats().Accesses() == 0 {
 		t.Error("no slow accesses recorded")
 	}
-	if a.FastHitRate() < 0 || a.FastHitRate() > 1 {
-		t.Errorf("fast hit rate %v out of range", a.FastHitRate())
+	// Two cold misses: the DL1 counts each once, the slow array three
+	// times (a probe for each, and the demotion).
+	if s := a.Stats(); s.Reads != 2 || s.ReadMisses != 2 {
+		t.Errorf("DL1 stats = %+v, want 2 reads, 2 misses", s)
 	}
 }
 
@@ -49,24 +44,53 @@ func TestHierarchyDL1HitRateHelpers(t *testing.T) {
 	h, _ := NewHierarchy(testConfig(1))
 	h.Read(0, 0x40)
 	h.Read(0, 0x40)
-	if hr := h.DL1HitRate(0); hr != 0.5 {
+	if hr := h.Counts().DL1.HitRate(); hr != 0.5 {
 		t.Errorf("DL1 hit rate = %v, want 0.5", hr)
 	}
-	if fr := h.FastHitRate(0); fr != 0 {
-		t.Errorf("plain config fast hit rate = %v", fr)
-	}
 
-	acfg := testConfig(1)
-	acfg.AsymDL1 = true
-	acfg.FastSize, acfg.FastRT, acfg.SlowRT = 4*1024, 1, 5
-	ha, _ := NewHierarchy(acfg)
+	ha, _ := NewHierarchy(asymTestConfig(1))
 	ha.Read(0, 0x40)
 	ha.Read(0, 0x40)
-	if hr := ha.DL1HitRate(0); hr <= 0 || hr > 1 {
-		t.Errorf("asym DL1 hit rate = %v", hr)
+	if hr := ha.Counts().DL1.HitRate(); hr != 0.5 {
+		t.Errorf("asym DL1 hit rate = %v, want 0.5", hr)
 	}
-	if fr := ha.FastHitRate(0); fr <= 0 {
-		t.Errorf("asym fast hit rate = %v", fr)
+	if fr := ha.Counts().DL1Fast.HitRate(); fr != 0.5 {
+		t.Errorf("asym fast hit rate = %v, want 0.5", fr)
+	}
+}
+
+// The asymmetric DL1 swaps lines between its arrays so that, as one
+// cache, it holds what a plain DL1 of the same size and associativity
+// holds. Fed the same stream, both count the same DL1 misses and
+// writebacks, and the levels below see the same traffic.
+func TestAsymmetricDL1MissesMatchPlainDL1(t *testing.T) {
+	plain, _ := NewHierarchy(testConfig(1))
+	asym, _ := NewHierarchy(asymTestConfig(1))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		// A 16 KB hot region and a 256 KB cold one: the DL1 both hits
+		// and misses in the slow ways.
+		addr := uint64(rng.Intn(16 * 1024))
+		if rng.Intn(10) < 3 {
+			addr = 1<<20 + uint64(rng.Intn(256*1024))
+		}
+		if rng.Intn(10) < 3 {
+			plain.Write(0, addr)
+			asym.Write(0, addr)
+		} else {
+			plain.Read(0, addr)
+			asym.Read(0, addr)
+		}
+	}
+	p, a := plain.Counts(), asym.Counts()
+	if a.DL1 != p.DL1 {
+		t.Errorf("asymmetric DL1 counts %+v, plain DL1 %+v", a.DL1, p.DL1)
+	}
+	if a.L2 != p.L2 {
+		t.Errorf("asymmetric L2 counts %+v, plain L2 %+v", a.L2, p.L2)
+	}
+	if a.DL1.Misses() == 0 || a.DL1Slow.Reads == a.DL1Slow.ReadMisses {
+		t.Errorf("stream exercised neither DL1 misses nor slow hits: %+v", a)
 	}
 }
 

@@ -133,9 +133,6 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 func (h *Hierarchy) lineAddr(addr uint64) uint64 {
 	return addr / uint64(h.cfg.LineSize)
 }
@@ -331,7 +328,9 @@ func (h *Hierarchy) cleanRemote(core int, byteAddr uint64) {
 // reporting.
 type Counts struct {
 	IL1, DL1, L2, L3 Stats
-	// Asymmetric-DL1 detail (zero when the DL1 is plain).
+	// Asymmetric-DL1 detail (zero when the DL1 is plain): the per-array
+	// counters the energy model prices. DL1 counts the asymmetric DL1 as
+	// one cache (AsymmetricDL1.Stats).
 	DL1Fast, DL1Slow Stats
 	Swaps            uint64
 	RingMessages     uint64
@@ -413,11 +412,9 @@ func (h *Hierarchy) Counts() Counts {
 	for c := 0; c < h.cfg.Cores; c++ {
 		add(&out.IL1, h.il1[c].Stats())
 		if h.cfg.AsymDL1 {
-			fs, ss := h.adl1[c].FastStats(), h.adl1[c].SlowStats()
-			add(&out.DL1Fast, fs)
-			add(&out.DL1Slow, ss)
-			add(&out.DL1, fs)
-			add(&out.DL1, ss)
+			add(&out.DL1, h.adl1[c].Stats())
+			add(&out.DL1Fast, h.adl1[c].FastStats())
+			add(&out.DL1Slow, h.adl1[c].SlowStats())
 			out.Swaps += h.adl1[c].Swaps
 		} else {
 			add(&out.DL1, h.dl1[c].Stats())
@@ -455,28 +452,4 @@ func (h *Hierarchy) Occupancy() Occupancy {
 	o.L2 /= n
 	o.L3 = h.l3.Occupancy()
 	return o
-}
-
-// DL1HitRate returns the data-cache hit rate of one core (fast+slow
-// combined when asymmetric).
-func (h *Hierarchy) DL1HitRate(core int) float64 {
-	if h.cfg.AsymDL1 {
-		f, s := h.adl1[core].FastStats(), h.adl1[core].SlowStats()
-		total := f.Accesses()
-		if total == 0 {
-			return 1
-		}
-		hits := total - f.Misses() + (s.Reads - s.ReadMisses)
-		return float64(hits) / float64(total)
-	}
-	return h.dl1[core].Stats().HitRate()
-}
-
-// FastHitRate returns the asymmetric DL1 fast-way hit rate for a core, or
-// 0 for plain configurations.
-func (h *Hierarchy) FastHitRate(core int) float64 {
-	if !h.cfg.AsymDL1 {
-		return 0
-	}
-	return h.adl1[core].FastHitRate()
 }

@@ -14,6 +14,15 @@ func testConfig(cores int) Config {
 	}
 }
 
+// asymTestConfig is testConfig with AdvHet's asymmetric DL1: a 4 KB
+// 1-way fast array in front of 28 KB of 7-way slow array.
+func asymTestConfig(cores int) Config {
+	cfg := testConfig(cores)
+	cfg.AsymDL1 = true
+	cfg.FastSize, cfg.FastRT, cfg.SlowRT = 4*1024, 1, 5
+	return cfg
+}
+
 func TestHierarchyValidation(t *testing.T) {
 	bad := testConfig(0)
 	if _, err := NewHierarchy(bad); err == nil {
@@ -69,10 +78,7 @@ func TestTFETLatencies(t *testing.T) {
 }
 
 func TestAsymmetricHierarchyLatencies(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.AsymDL1 = true
-	cfg.FastSize, cfg.FastRT, cfg.SlowRT = 4*1024, 1, 5
-	h, err := NewHierarchy(cfg)
+	h, err := NewHierarchy(asymTestConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +92,7 @@ func TestAsymmetricHierarchyLatencies(t *testing.T) {
 	if l := h.Read(0, addr); l != 5 {
 		t.Errorf("slow hit latency %d, want 5", l)
 	}
-	if hr := h.FastHitRate(0); hr <= 0 {
+	if hr := h.Counts().DL1Fast.HitRate(); hr <= 0 {
 		t.Errorf("fast hit rate %v, want > 0", hr)
 	}
 }

@@ -24,9 +24,6 @@ func NewRing(nodes, hopLat int) (*Ring, error) {
 	return &Ring{nodes: nodes, hopLat: hopLat}, nil
 }
 
-// Nodes returns the node count.
-func (r *Ring) Nodes() int { return r.nodes }
-
 // Hops returns the shortest-path hop count between two nodes on the
 // bidirectional ring.
 func (r *Ring) Hops(from, to int) int {

@@ -18,12 +18,10 @@ type BPredConfig struct {
 	HistoryBits int
 	// BTBEntries and BTBWays size the branch target buffer (2K, 4-way).
 	BTBEntries, BTBWays int
-	// RASEntries sizes the return address stack (32).
-	RASEntries int
 }
 
 // DefaultBPredConfig returns Table III's predictor: tournament 2-level,
-// 32-entry RAS, 4-way 2K-entry BTB.
+// 4-way 2K-entry BTB.
 func DefaultBPredConfig() BPredConfig {
 	return BPredConfig{
 		LocalEntries:  1024,
@@ -31,7 +29,6 @@ func DefaultBPredConfig() BPredConfig {
 		HistoryBits:   12,
 		BTBEntries:    2048,
 		BTBWays:       4,
-		RASEntries:    32,
 	}
 }
 
@@ -43,7 +40,7 @@ func (c BPredConfig) Validate() error {
 	}{
 		{"LocalEntries", c.LocalEntries}, {"GlobalEntries", c.GlobalEntries},
 		{"HistoryBits", c.HistoryBits}, {"BTBEntries", c.BTBEntries},
-		{"BTBWays", c.BTBWays}, {"RASEntries", c.RASEntries},
+		{"BTBWays", c.BTBWays},
 	} {
 		if v.n <= 0 {
 			return fmt.Errorf("cpu: predictor %s must be positive, got %d", v.name, v.n)
@@ -65,14 +62,6 @@ type BPredStats struct {
 	BTBMisses   uint64
 }
 
-// MispredictRate returns mispredictions per lookup.
-func (s BPredStats) MispredictRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Lookups)
-}
-
 // BPred is the tournament predictor: a per-branch local 2-level component,
 // a gshare global component, and a chooser that learns which component to
 // trust per branch.
@@ -89,9 +78,6 @@ type BPred struct {
 	btbLRU  [][]uint64
 	btbTick uint64
 
-	ras    []uint64
-	rasTop int
-
 	stats BPredStats
 }
 
@@ -106,7 +92,6 @@ func NewBPred(cfg BPredConfig) (*BPred, error) {
 		localPHT:  make([]uint8, cfg.LocalEntries),
 		globalPHT: make([]uint8, cfg.GlobalEntries),
 		chooser:   make([]uint8, cfg.GlobalEntries),
-		ras:       make([]uint64, cfg.RASEntries),
 	}
 	sets := cfg.BTBEntries / cfg.BTBWays
 	b.btbTags = make([][]uint64, sets)
@@ -257,19 +242,4 @@ func (b *BPred) btbInsert(pc uint64) {
 	b.btbTick++
 	b.btbTags[set][victim] = pc
 	b.btbLRU[set][victim] = b.btbTick
-}
-
-// PushRAS records a call's return address.
-func (b *BPred) PushRAS(retPC uint64) {
-	b.ras[b.rasTop%len(b.ras)] = retPC
-	b.rasTop++
-}
-
-// PopRAS predicts a return target; ok is false when the stack is empty.
-func (b *BPred) PopRAS() (pc uint64, ok bool) {
-	if b.rasTop == 0 {
-		return 0, false
-	}
-	b.rasTop--
-	return b.ras[b.rasTop%len(b.ras)], true
 }

@@ -100,12 +100,6 @@ func TestBPredStats(t *testing.T) {
 	if s.Lookups != 1 || s.Mispredicts != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.MispredictRate() != 1 {
-		t.Errorf("rate = %v", s.MispredictRate())
-	}
-	if (BPredStats{}).MispredictRate() != 0 {
-		t.Error("empty rate should be 0")
-	}
 }
 
 func TestBTBWarmsUp(t *testing.T) {
@@ -119,33 +113,5 @@ func TestBTBWarmsUp(t *testing.T) {
 	p = b.Predict(pc)
 	if !p.BTBHit {
 		t.Error("BTB miss after insertion")
-	}
-}
-
-func TestRAS(t *testing.T) {
-	b, _ := NewBPred(DefaultBPredConfig())
-	if _, ok := b.PopRAS(); ok {
-		t.Error("pop from empty RAS succeeded")
-	}
-	b.PushRAS(0x100)
-	b.PushRAS(0x200)
-	if pc, ok := b.PopRAS(); !ok || pc != 0x200 {
-		t.Errorf("pop = %#x,%v", pc, ok)
-	}
-	if pc, ok := b.PopRAS(); !ok || pc != 0x100 {
-		t.Errorf("pop = %#x,%v", pc, ok)
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	cfg := DefaultBPredConfig()
-	cfg.RASEntries = 4
-	b, _ := NewBPred(cfg)
-	for i := 1; i <= 6; i++ {
-		b.PushRAS(uint64(i * 0x10))
-	}
-	// The newest 4 survive; the oldest were overwritten.
-	if pc, _ := b.PopRAS(); pc != 0x60 {
-		t.Errorf("top = %#x, want 0x60", pc)
 	}
 }

@@ -14,14 +14,6 @@ const (
 	TFET
 )
 
-// String names the technology.
-func (t UnitTech) String() string {
-	if t == TFET {
-		return "TFET"
-	}
-	return "CMOS"
-}
-
 // Latencies holds functional-unit op latencies in cycles. Table III gives
 // both variants: ALU 1/2, IntMul 2/4, IntDiv 4/8, FP add/mul/div 2/4/8 in
 // CMOS vs 4/8/16 in TFET. Divides are unpipelined: a unit accepts a new

@@ -77,9 +77,3 @@ func TestConfigValidateRejects(t *testing.T) {
 		t.Errorf("default config invalid: %v", err)
 	}
 }
-
-func TestUnitTechString(t *testing.T) {
-	if CMOS.String() != "CMOS" || TFET.String() != "TFET" {
-		t.Error("UnitTech names wrong")
-	}
-}

@@ -155,51 +155,6 @@ func (s Stats) Delta(prev Stats) Stats {
 	return d
 }
 
-// IPC returns committed instructions per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Committed) / float64(s.Cycles)
-}
-
-// AvgROBOccupancy returns the mean number of in-flight instructions.
-func (s Stats) AvgROBOccupancy() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.ROBOccAccum) / float64(s.Cycles)
-}
-
-// AvgIQOccupancy returns the mean issue-queue population.
-func (s Stats) AvgIQOccupancy() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.IQOccAccum) / float64(s.Cycles)
-}
-
-// AvgLSQOccupancy returns the mean number of occupied LSQ slots.
-func (s Stats) AvgLSQOccupancy() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.LSQOccAccum) / float64(s.Cycles)
-}
-
-// StallBreakdown returns the fraction of cycles dispatch was blocked on
-// each resource: ROB, IQ, LSQ, physical registers, and the frontend
-// (mispredict redirects, fetch misses).
-func (s Stats) StallBreakdown() (rob, iq, lsq, regs, fetch float64) {
-	if s.Cycles == 0 {
-		return
-	}
-	c := float64(s.Cycles)
-	return float64(s.StallROB) / c, float64(s.StallIQ) / c,
-		float64(s.StallLSQ) / c, float64(s.StallRegs) / c,
-		float64(s.StallFetch) / c
-}
-
 // TimeNS returns the execution time in nanoseconds at the given clock.
 func (s Stats) TimeNS(freqGHz float64) float64 {
 	return float64(s.Cycles) / freqGHz

@@ -16,6 +16,9 @@ func (m *fakeMem) InstFetch(pc uint64) int { m.fetches++; return m.fetchLat }
 func (m *fakeMem) Read(addr uint64) int    { m.reads++; return m.readLat }
 func (m *fakeMem) Write(addr uint64) int   { m.writes++; return m.writeLat }
 
+// ipcOf returns committed instructions per cycle.
+func ipcOf(s Stats) float64 { return float64(s.Committed) / float64(s.Cycles) }
+
 // listSource replays a fixed instruction slice, then repeats the last
 // element forever (keeps lookahead simple).
 type listSource struct {
@@ -70,7 +73,7 @@ func TestIndependentALUThroughput(t *testing.T) {
 	src := &listSource{} // defaults to independent ALU ops
 	c := newTestCore(t, DefaultConfig(), mem, src)
 	s := c.Run(40000)
-	if ipc := s.IPC(); ipc < 3.5 {
+	if ipc := ipcOf(s); ipc < 3.5 {
 		t.Errorf("independent ALU IPC = %.2f, want >= 3.5", ipc)
 	}
 }
@@ -84,7 +87,7 @@ func TestSerialChainCMOS(t *testing.T) {
 	}
 	c := newTestCore(t, DefaultConfig(), mem, &listSource{insts: insts})
 	s := c.Run(40000)
-	if ipc := s.IPC(); ipc < 0.90 || ipc > 1.05 {
+	if ipc := ipcOf(s); ipc < 0.90 || ipc > 1.05 {
 		t.Errorf("serial CMOS chain IPC = %.3f, want ≈1.0", ipc)
 	}
 }
@@ -101,7 +104,7 @@ func TestSerialChainTFET(t *testing.T) {
 	cfg.IntLat = TFETLatencies()
 	c := newTestCore(t, cfg, mem, &listSource{insts: insts})
 	s := c.Run(40000)
-	if ipc := s.IPC(); ipc < 0.45 || ipc > 0.55 {
+	if ipc := ipcOf(s); ipc < 0.45 || ipc > 0.55 {
 		t.Errorf("serial TFET chain IPC = %.3f, want ≈0.5", ipc)
 	}
 }
@@ -121,7 +124,7 @@ func TestDualSpeedRecoversSerialChain(t *testing.T) {
 	cfg.SteerWindow = cfg.IssueWidth
 	c := newTestCore(t, cfg, mem, &listSource{insts: insts})
 	s := c.Run(40000)
-	if ipc := s.IPC(); ipc < 0.90 {
+	if ipc := ipcOf(s); ipc < 0.90 {
 		t.Errorf("dual-speed serial chain IPC = %.3f, want ≈1.0", ipc)
 	}
 	if s.ALUFastOps == 0 {
@@ -167,7 +170,7 @@ func TestLoadUseLatency(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		c, _ := NewCore(cfg, mem, &listSource{insts: insts})
-		return c.Run(50000).IPC()
+		return ipcOf(c.Run(50000))
 	}
 	fast, slow := run(2), run(4)
 	if slow >= fast {
@@ -197,7 +200,7 @@ func TestMispredictPenalty(t *testing.T) {
 			}
 		}
 		c, _ := NewCore(DefaultConfig(), mem, &listSource{insts: insts})
-		return c.Run(60000).IPC()
+		return ipcOf(c.Run(60000))
 	}
 	predictable, unpredictable := run(false), run(true)
 	if unpredictable >= predictable*0.8 {
@@ -218,7 +221,7 @@ func TestFPDivIssueInterval(t *testing.T) {
 	c, _ := NewCore(cfg, mem, &listSource{insts: insts})
 	s := c.Run(20000)
 	// 2 FPUs, one divide each per 8 cycles -> IPC <= 0.25.
-	if ipc := s.IPC(); ipc > 0.26 {
+	if ipc := ipcOf(s); ipc > 0.26 {
 		t.Errorf("FP divide IPC = %.3f, exceeds issue-interval bound 0.25", ipc)
 	}
 }
@@ -295,7 +298,7 @@ func TestLargerWindowHelpsFP(t *testing.T) {
 		cfg.FPLat = TFETLatencies()
 		cfg.ROBSize, cfg.FPRegs = rob, fprf
 		c, _ := NewCore(cfg, mem, &listSource{insts: mkInsts()})
-		return c.Run(100000).IPC()
+		return ipcOf(c.Run(100000))
 	}
 	small, big := run(96, 64), run(192, 128)
 	if big <= small {
@@ -354,10 +357,10 @@ func TestCoreWithRealTrace(t *testing.T) {
 		t.Errorf("nondeterministic: %d/%d vs %d/%d cycles/insts",
 			a.Cycles, a.Committed, b.Cycles, b.Committed)
 	}
-	if ipc := a.IPC(); ipc < 0.3 || ipc > 4 {
+	if ipc := ipcOf(a); ipc < 0.3 || ipc > 4 {
 		t.Errorf("barnes IPC = %.3f, outside sanity range", ipc)
 	}
-	if a.BPred.MispredictRate() <= 0 || a.BPred.MispredictRate() > 0.3 {
-		t.Errorf("mispredict rate = %.3f", a.BPred.MispredictRate())
+	if rate := float64(a.BPred.Mispredicts) / float64(a.BPred.Lookups); rate <= 0 || rate > 0.3 {
+		t.Errorf("mispredict rate = %.3f", rate)
 	}
 }

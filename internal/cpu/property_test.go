@@ -97,13 +97,12 @@ func TestStatsDeltaProperty(t *testing.T) {
 		if d.BPred.Mispredicts > d.BPred.Lookups {
 			return false
 		}
-		rob, iq, lsq, regs, fetch := d.StallBreakdown()
-		for _, v := range []float64{rob, iq, lsq, regs, fetch} {
-			if v < 0 || v > 1 {
+		for _, v := range []uint64{d.StallROB, d.StallIQ, d.StallLSQ, d.StallRegs, d.StallFetch} {
+			if v > d.Cycles {
 				return false
 			}
 		}
-		return d.AvgROBOccupancy() >= 0 && d.AvgIQOccupancy() >= 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
@@ -119,14 +118,7 @@ func TestOccupancyHelpers(t *testing.T) {
 	c, _ := NewCore(DefaultConfig(), mem, &listSource{insts: insts})
 	s := c.Run(20000)
 	// A serial chain keeps the window full.
-	if occ := s.AvgROBOccupancy(); occ < 10 {
+	if occ := float64(s.ROBOccAccum) / float64(s.Cycles); occ < 10 {
 		t.Errorf("ROB occupancy %.1f on a serial chain, expected a full window", occ)
-	}
-	if (Stats{}).AvgROBOccupancy() != 0 || (Stats{}).AvgIQOccupancy() != 0 {
-		t.Error("empty stats occupancy should be 0")
-	}
-	r, i2, l, g, f := (Stats{}).StallBreakdown()
-	if r != 0 || i2 != 0 || l != 0 || g != 0 || f != 0 {
-		t.Error("empty stats stall breakdown should be 0")
 	}
 }

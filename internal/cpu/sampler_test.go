@@ -89,7 +89,4 @@ func TestLSQOccupancyAccumulates(t *testing.T) {
 	if st.LSQOccAccum == 0 {
 		t.Fatal("LSQ occupancy never accumulated despite loads in flight")
 	}
-	if avg := st.AvgLSQOccupancy(); avg <= 0 {
-		t.Fatalf("average LSQ occupancy = %v, want > 0", avg)
-	}
 }

@@ -84,10 +84,6 @@ func (c tfetCurve) FrequencyGHz(v float64) float64 {
 
 func (c tfetCurve) Domain() (float64, float64) { return 0.05, 0.9 }
 
-// SaturationFrequencyGHz returns the frequency the TFET curve asymptotes
-// to; no supply voltage can push a TFET pipeline stage beyond it.
-func (c tfetCurve) SaturationFrequencyGHz() float64 { return c.fsat }
-
 func (c tfetCurve) VoltageFor(f float64) (float64, error) {
 	if f >= c.fsat {
 		return 0, fmt.Errorf("device: TFET frequency %.3f GHz unreachable (saturates at %.3f GHz)", f, c.fsat)
@@ -133,11 +129,6 @@ type DVFS struct {
 // NewDVFS builds a DVFS solver over the Figure 3 curves.
 func NewDVFS() *DVFS {
 	return &DVFS{cmos: CMOSFreqCurve(), tfet: TFETFreqCurve()}
-}
-
-// NewDVFSWith builds a DVFS solver over custom curves (used in tests).
-func NewDVFSWith(cmos, tfet FreqCurve) *DVFS {
-	return &DVFS{cmos: cmos, tfet: tfet}
 }
 
 // PairFor returns the voltage pair for core frequency f in GHz: V_CMOS such

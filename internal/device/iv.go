@@ -20,7 +20,6 @@ import (
 // Figure 1: similar OFF currents, TFET overtaking MOSFET at low voltage,
 // MOSFET overtaking beyond ≈0.6 V.
 type IVModel struct {
-	name string
 	// ioff is the OFF-state current at Vg=0 (A/µm).
 	ioff float64
 	// ss is the subthreshold swing in mV/decade near the OFF state.
@@ -39,7 +38,6 @@ type IVModel struct {
 // current.
 func NMOSFET() IVModel {
 	return IVModel{
-		name: "N-MOSFET",
 		ioff: 1e-9, // 1 nA/µm OFF current
 		ss:   60,   // thermionic limit, mV/decade
 		vt:   0.30, // threshold voltage
@@ -54,7 +52,6 @@ func NMOSFET() IVModel {
 // ≈0.6 V.
 func NHetJTFET() IVModel {
 	return IVModel{
-		name: "N-HetJTFET",
 		ioff: 1e-10, // extremely low OFF current
 		ss:   30,    // steep slope, beats the 60 mV/dec limit
 		vt:   0.15,
@@ -62,9 +59,6 @@ func NHetJTFET() IVModel {
 		sat:  9.0, // sharp saturation: curve flattens past ~0.6 V
 	}
 }
-
-// Name returns the curve label used in Figure 1.
-func (m IVModel) Name() string { return m.name }
 
 // Current returns the drain current in A/µm at gate voltage vg (volts).
 // The composite model is exponential below threshold (with swing m.ss) and
@@ -87,36 +81,6 @@ func (m IVModel) Current(vg float64) float64 {
 		span = 0
 	}
 	return ivt + span*(1-math.Exp(-m.sat*(vg-m.vt)))
-}
-
-// SubthresholdSwing returns the measured swing in mV/decade between two
-// gate voltages in the subthreshold region.
-func (m IVModel) SubthresholdSwing(vlo, vhi float64) float64 {
-	ilo, ihi := m.Current(vlo), m.Current(vhi)
-	decades := math.Log10(ihi / ilo)
-	if decades == 0 {
-		return math.Inf(1)
-	}
-	return (vhi - vlo) * 1000 / decades
-}
-
-// IVPoint is one sample of an I-V sweep.
-type IVPoint struct {
-	VG float64 // gate voltage, volts
-	ID float64 // drain current, A/µm
-}
-
-// Sweep samples the curve at n+1 evenly spaced points over [vlo, vhi].
-func (m IVModel) Sweep(vlo, vhi float64, n int) []IVPoint {
-	if n < 1 {
-		panic(fmt.Sprintf("device: sweep needs at least 1 interval, got %d", n))
-	}
-	pts := make([]IVPoint, n+1)
-	for i := 0; i <= n; i++ {
-		v := vlo + (vhi-vlo)*float64(i)/float64(n)
-		pts[i] = IVPoint{VG: v, ID: m.Current(v)}
-	}
-	return pts
 }
 
 // CrossoverVoltage finds the high-voltage crossover: the gate voltage in

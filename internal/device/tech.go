@@ -165,12 +165,6 @@ func (c Characteristics) ALUEnergyRatio() float64 {
 	return tableI[SiCMOS].ALUDynamicEnergyFJ / c.ALUDynamicEnergyFJ
 }
 
-// ALULeakageRatio returns the Si-CMOS 32-bit ALU leakage power divided by
-// this technology's (≈300x for HetJTFET against a regular-Vt CMOS ALU).
-func (c Characteristics) ALULeakageRatio() float64 {
-	return tableI[SiCMOS].ALULeakageUW / c.ALULeakageUW
-}
-
 // MixableWithCMOS reports whether the paper considers the technology
 // feasible to mix with Si-CMOS units inside one core at a single clock
 // frequency. Only HetJTFET qualifies: its 2x speed differential is absorbed

@@ -92,7 +92,8 @@ func TestALUEnergyRatios(t *testing.T) {
 
 // A HetJTFET ALU leaks about 300x less than a regular-Vt Si-CMOS ALU.
 func TestALULeakageRatio(t *testing.T) {
-	approxRel(t, Characterize(HetJTFET).ALULeakageRatio(), 300, 0.01, "HetJTFET leakage ratio")
+	ratio := Characterize(SiCMOS).ALULeakageUW / Characterize(HetJTFET).ALULeakageUW
+	approxRel(t, ratio, 300, 0.01, "HetJTFET leakage ratio")
 }
 
 func TestMixableWithCMOS(t *testing.T) {

@@ -44,9 +44,6 @@ func OpenCache(dir string, o *obs.Observer) (*DiskCache, error) {
 	return &DiskCache{dir: dir, stamp: Stamp(), o: o}, nil
 }
 
-// Dir returns the cache root directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
 func (c *DiskCache) count(name string) {
 	if reg := c.o.Reg(); reg != nil {
 		reg.Counter(name).Inc()

@@ -176,10 +176,6 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// TraceID returns the pool's run-scoped trace identifier (stamped on
-// every wire request).
-func (p *Pool) TraceID() string { return p.traceID }
-
 // Capacity returns how many jobs the pool runs remotely at once: its
 // slots, SlotsPerWorker for each worker. The engine's RunAll adds it to
 // the local lanes so every slot can be busy.

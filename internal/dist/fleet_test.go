@@ -70,8 +70,8 @@ func TestFleetTraceStructure(t *testing.T) {
 		switch {
 		case e.Phase == "X" && e.Cat == "dist":
 			clients = append(clients, e)
-			if e.Args["trace"] != p.TraceID() {
-				t.Errorf("client slice trace arg = %v, want %s", e.Args["trace"], p.TraceID())
+			if e.Args["trace"] != p.traceID {
+				t.Errorf("client slice trace arg = %v, want %s", e.Args["trace"], p.traceID)
 			}
 			if s, _ := e.Args["span"].(string); s == "" {
 				t.Error("client slice has no span arg")

@@ -1,9 +1,6 @@
 package energy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Fixed-function accelerator energy model, after the lumos ASAcc u-core
 // model (Chung et al., "Single-Chip Heterogeneous Computing: Does the
@@ -69,14 +66,6 @@ var accelTable = []AccelEntry{
 // (datapath plus local SRAM buffers in 1 mm²). The TFET build divides
 // it by the standard 10x leakage factor via AccelScale.
 const AccelUnitLeakMW = 25.0
-
-// AccelEntries returns the accelerator catalog sorted by kernel name.
-func AccelEntries() []AccelEntry {
-	out := make([]AccelEntry, len(accelTable))
-	copy(out, accelTable)
-	sort.Slice(out, func(i, j int) bool { return out[i].Kernel < out[j].Kernel })
-	return out
-}
 
 // AccelEntryFor returns the accelerator characteristics for one kernel.
 func AccelEntryFor(kernel string) (AccelEntry, error) {

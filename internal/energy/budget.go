@@ -38,14 +38,6 @@ func (b Budget) Fits(areaMM2, powerW float64) bool {
 	return true
 }
 
-// Headroom returns the remaining area and power after a design needing
-// areaMM2 and powerW. Negative values mean the budget is exceeded;
-// unconstrained dimensions report +Inf is avoided by returning the raw
-// difference against a zero budget (i.e. the negated need).
-func (b Budget) Headroom(areaMM2, powerW float64) (area, power float64) {
-	return b.AreaMM2 - areaMM2, b.PowerW - powerW
-}
-
 // String formats the budget for reports.
 func (b Budget) String() string {
 	return fmt.Sprintf("%.1f W / %.1f mm²", b.PowerW, b.AreaMM2)

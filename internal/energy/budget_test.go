@@ -48,14 +48,6 @@ func TestBudgetFits(t *testing.T) {
 	}
 }
 
-func TestBudgetHeadroom(t *testing.T) {
-	b := Budget{AreaMM2: 50, PowerW: 20}
-	area, power := b.Headroom(30, 25)
-	if area != 20 || power != -5 {
-		t.Errorf("Headroom = (%v, %v), want (20, -5)", area, power)
-	}
-}
-
 func TestBudgetString(t *testing.T) {
 	if got := (Budget{AreaMM2: 50, PowerW: 20}).String(); got != "20.0 W / 50.0 mm²" {
 		t.Errorf("String() = %q", got)

@@ -207,15 +207,6 @@ func (f *ObsFlags) Start(command []string) (*ObsSession, error) {
 	return s, nil
 }
 
-// ServerURL returns the live-telemetry dashboard URL ("" when -serve is
-// not set).
-func (s *ObsSession) ServerURL() string {
-	if s == nil || s.server == nil {
-		return ""
-	}
-	return s.server.URL()
-}
-
 // Close stops profiling and writes the trace and metrics files.
 func (s *ObsSession) Close() error {
 	if s == nil {

@@ -84,11 +84,11 @@ func runObserved(t *testing.T) ([]byte, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := o.Metrics.Snapshot().WriteJSON(&snap); err != nil {
+	snap, err := json.MarshalIndent(o.Metrics.Snapshot(), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, snap.Bytes()
+	return recs, snap
 }
 
 // TestRunRecordDeterminism: two same-seed invocations must produce
@@ -136,7 +136,11 @@ func TestObservedExperimentRecords(t *testing.T) {
 		if r.Schema != obs.SchemaVersion {
 			t.Errorf("record %s has schema %q", r.Config, r.Schema)
 		}
-		if got := r.AttributionTotal(); got != r.CoreCycles {
+		var got uint64
+		for _, v := range r.CycleAttribution {
+			got += v
+		}
+		if got != r.CoreCycles {
 			t.Errorf("record %s/%s: attribution sums to %d, want CoreCycles %d",
 				r.Config, r.Workload, got, r.CoreCycles)
 		}

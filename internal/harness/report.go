@@ -125,15 +125,3 @@ func (t Table) Cell(rowLabel, column string) (float64, error) {
 	}
 	return 0, fmt.Errorf("harness: table %s has no column %q", t.ID, column)
 }
-
-// mean returns the arithmetic mean (the paper reports averages).
-func mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
-}

@@ -11,12 +11,12 @@ import (
 // TestRunCPUCacheStats pins the measured-region cache stats a CPU run
 // exports for the traffic scheduler: the MPKI fields must agree with
 // the miss counters the run pushes into the registry (the sum
-// invariant), occupancies must be valid fractions, and the per-run
-// gauges must carry the exact same values as the result fields.
+// invariant), occupancies must be valid fractions, and the run record's
+// Extra fields must carry the exact same values as the result fields.
 func TestRunCPUCacheStats(t *testing.T) {
 	cfg, _ := CPUConfigByName("BaseCMOS")
 	prof, _ := trace.CPUWorkload("canneal")
-	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	o := &obs.Observer{Metrics: obs.NewRegistry(), Records: &obs.RecordSink{}}
 	opts := quickOpts
 	opts.Obs = o
 	r, err := RunCPU(cfg, prof, opts)
@@ -59,18 +59,46 @@ func TestRunCPUCacheStats(t *testing.T) {
 		}
 	}
 
-	// The per-run gauges mirror the result fields exactly.
-	prefix := "cpu.BaseCMOS.canneal."
+	// The run record mirrors the result fields exactly.
+	recs := o.Records.Records()
+	if len(recs) != 1 {
+		t.Fatalf("%d run records, want 1", len(recs))
+	}
 	for name, want := range map[string]float64{
-		"cache.l1d_mpki":      r.DL1MPKI,
-		"cache.l2_mpki":       r.L2MPKI,
-		"cache.l3_mpki":       r.L3MPKI,
-		"cache.l1d_occupancy": r.DL1Occupancy,
-		"cache.l2_occupancy":  r.L2Occupancy,
-		"cache.l3_occupancy":  r.L3Occupancy,
+		"l1d_mpki":      r.DL1MPKI,
+		"l2_mpki":       r.L2MPKI,
+		"l3_mpki":       r.L3MPKI,
+		"l1d_occupancy": r.DL1Occupancy,
+		"l2_occupancy":  r.L2Occupancy,
+		"l3_occupancy":  r.L3Occupancy,
 	} {
-		if got := snap.Gauges[prefix+name]; got != want {
-			t.Errorf("gauge %s = %v, want %v", prefix+name, got, want)
+		if got, ok := recs[0].Extra[name]; !ok || got != want {
+			t.Errorf("record extra %s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestHierarchyMissIdentity checks what the hierarchy implements on
+// every CPU configuration: each L2 read miss is one L3 read and one
+// directory read miss.
+func TestHierarchyMissIdentity(t *testing.T) {
+	workloads := []string{"barnes", "canneal", "fft", "radix"}
+	for i, cfg := range CPUConfigs() {
+		prof, err := trace.CPUWorkload(workloads[i%len(workloads)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &obs.Observer{Metrics: obs.NewRegistry()}
+		opts := quickOpts
+		opts.Obs = o
+		if _, err := RunCPU(cfg, prof, opts); err != nil {
+			t.Fatalf("%s/%s: %v", cfg.Name, prof.Name, err)
+		}
+		c := o.Reg().Snapshot().Counters
+		l2, l3, dir := c["cache.l2.read_misses"], c["cache.l3.reads"], c["directory.read_misses"]
+		if l2 == 0 || l2 != l3 || l2 != dir {
+			t.Errorf("%s/%s: L2 read misses %d, L3 reads %d, directory read misses %d; want equal and nonzero",
+				cfg.Name, prof.Name, l2, l3, dir)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestHeteroCMPResultGolden(t *testing.T) {
 			}
 			r, err := RunHeteroCMP(hc, prof, RunOpts{TotalInstructions: 20_000, Seed: 1})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", r.ConfigName(), w, err)
+				t.Fatalf("migrate=%v/%s: %v", migrate, w, err)
 			}
 			got = append(got, r)
 		}
@@ -62,8 +62,8 @@ func TestHeteroCMPResultGolden(t *testing.T) {
 	}
 	for i := range got {
 		if got[i] != wantRes[i] {
-			t.Errorf("%s/%s drifted:\n got  %+v\n want %+v",
-				got[i].ConfigName(), got[i].Workload, got[i], wantRes[i])
+			t.Errorf("migrate=%v/%s drifted:\n got  %+v\n want %+v",
+				got[i].Config.Migrate, got[i].Workload, got[i], wantRes[i])
 		}
 	}
 }

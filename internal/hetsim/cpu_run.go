@@ -104,9 +104,6 @@ func (r CPUResult) ED2() float64 { return energy.ED2(r.Energy.Total(), r.TimeSec
 // CPUResult implements the device-independent Result surface.
 var _ Result = CPUResult{}
 
-func (r CPUResult) DeviceKind() string    { return "cpu" }
-func (r CPUResult) ConfigName() string    { return r.Config }
-func (r CPUResult) WorkloadName() string  { return r.Workload }
 func (r CPUResult) Seconds() float64      { return r.TimeSec }
 func (r CPUResult) TotalEnergyJ() float64 { return r.Energy.Total() }
 
@@ -169,15 +166,7 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 	}
 	res.DL1Occupancy, res.L2Occupancy, res.L3Occupancy = m.occ.DL1, m.occ.L2, m.occ.L3
 	if cfg.Hier.AsymDL1 {
-		fa, sl := counts.DL1Fast, counts.DL1Slow
-		if total := fa.Accesses(); total > 0 {
-			hits := total - fa.Misses() + (sl.Reads - sl.ReadMisses)
-			if hits > total {
-				hits = total
-			}
-			res.DL1HitRate = float64(hits) / float64(total)
-			res.FastHitRate = fa.HitRate()
-		}
+		res.FastHitRate = counts.DL1Fast.HitRate()
 	}
 	if m.maxCycles > 0 {
 		res.IPC = float64(m.insts) / float64(m.maxCycles) / float64(n)
@@ -195,22 +184,6 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 			counts.Visit(func(name string, v uint64) {
 				reg.Counter(name).Add(v)
 			})
-			// Per-run locality gauges. The run prefix keeps concurrent
-			// engine jobs on disjoint gauge names: a bare cache.l1d_mpki
-			// would be last-write-wins across jobs and make the metrics
-			// snapshot depend on completion order, breaking the
-			// -jobs=1 vs -jobs=N byte-identical report contract.
-			prefix := "cpu." + cfg.Name + "." + prof.Name + "."
-			for name, v := range map[string]float64{
-				"cache.l1d_mpki":      res.DL1MPKI,
-				"cache.l2_mpki":       res.L2MPKI,
-				"cache.l3_mpki":       res.L3MPKI,
-				"cache.l1d_occupancy": res.DL1Occupancy,
-				"cache.l2_occupancy":  res.L2Occupancy,
-				"cache.l3_occupancy":  res.L3Occupancy,
-			} {
-				reg.Gauge(prefix + name).Set(v)
-			}
 		}
 		if tr.Enabled() && timeSec > 0 {
 			tr.CounterSample(pid, "avg_power_w",
@@ -444,7 +417,8 @@ func shares(total uint64, serialFrac float64, cores []cpu.Config, byClock bool) 
 
 // cpuActivity sums a span's per-core counter deltas and its hierarchy
 // delta into the activity vector the energy model prices. An asymmetric
-// DL1 is priced per array: counts.DL1 already sums both.
+// DL1 is priced per array: counts.DL1 counts its requests, not the
+// array accesses that cost energy.
 func cpuActivity(stats []cpu.Stats, counts cache.Counts, asymDL1 bool) energy.CPUActivity {
 	act := energy.CPUActivity{Cores: len(stats)}
 	for _, s := range stats {

@@ -27,18 +27,12 @@ type GPUResult struct {
 	Attr gpu.CycleAttr
 }
 
-// ED returns the energy-delay product (J·s).
-func (r GPUResult) ED() float64 { return energy.ED(r.Energy.Total(), r.TimeSec) }
-
 // ED2 returns the energy-delay² product (J·s²).
 func (r GPUResult) ED2() float64 { return energy.ED2(r.Energy.Total(), r.TimeSec) }
 
 // GPUResult implements the device-independent Result surface.
 var _ Result = GPUResult{}
 
-func (r GPUResult) DeviceKind() string    { return "gpu" }
-func (r GPUResult) ConfigName() string    { return r.Config }
-func (r GPUResult) WorkloadName() string  { return r.Kernel }
 func (r GPUResult) Seconds() float64      { return r.TimeSec }
 func (r GPUResult) TotalEnergyJ() float64 { return r.Energy.Total() }
 

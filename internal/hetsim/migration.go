@@ -67,29 +67,14 @@ type HeteroCMPResult struct {
 	Energy   energy.Breakdown
 }
 
-// ED returns the energy-delay product (J·s).
-func (r HeteroCMPResult) ED() float64 {
-	return energy.ED(r.Energy.Total(), r.TimeSec)
-}
-
 // ED2 returns the energy-delay-squared product.
 func (r HeteroCMPResult) ED2() float64 {
 	return energy.ED2(r.Energy.Total(), r.TimeSec)
 }
 
-// HeteroCMPResult implements the device-independent Result surface. The
-// config name folds the migration flag in, matching the names
-// HeteroCMPByName accepts.
+// HeteroCMPResult implements the device-independent Result surface.
 var _ Result = HeteroCMPResult{}
 
-func (r HeteroCMPResult) DeviceKind() string { return "cmp" }
-func (r HeteroCMPResult) ConfigName() string {
-	if r.Config.Migrate {
-		return "HeteroCMP"
-	}
-	return "HeteroCMP-nomig"
-}
-func (r HeteroCMPResult) WorkloadName() string  { return r.Workload }
 func (r HeteroCMPResult) Seconds() float64      { return r.TimeSec }
 func (r HeteroCMPResult) TotalEnergyJ() float64 { return r.Energy.Total() }
 

@@ -6,20 +6,11 @@ package hetsim
 // HeteroCMPResult, soc.Result, traffic.Result) stay available for
 // device-specific fields behind a type assertion.
 type Result interface {
-	// DeviceKind is the engine-key device field: "cpu", "gpu", "cmp",
-	// "soc", "traffic".
-	DeviceKind() string
-	// ConfigName names the simulated configuration (Table IV name, or a
-	// composed SoC mix like "c2t4g8").
-	ConfigName() string
-	// WorkloadName names the workload or kernel.
-	WorkloadName() string
 	// Seconds is the simulated execution time.
 	Seconds() float64
 	// TotalEnergyJ is the total modelled energy in joules (DRAM excluded,
 	// matching the paper's scope).
 	TotalEnergyJ() float64
-	// ED is the energy-delay product (J·s); ED2 the energy-delay².
-	ED() float64
+	// ED2 is the energy-delay² product (J·s²).
 	ED2() float64
 }

@@ -1,6 +1,7 @@
 package hetsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestWindowPricingMatchesAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(r.ConfigName(), hc.coreSet(prof, opts, ""), r.Energy.Dynamic())
+		check(fmt.Sprintf("HeteroCMP migrate=%v", migrate), hc.coreSet(prof, opts, ""), r.Energy.Dynamic())
 	}
 }
 

@@ -50,23 +50,26 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONDeterministic: reports embed the snapshot as JSON, so
+// it must marshal to the same bytes every time.
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b").Add(2)
 	r.Counter("a").Add(1)
 	r.Gauge("z").Set(0.25)
-	var b1, b2 bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&b1); err != nil {
+	b1, err := json.MarshalIndent(r.Snapshot(), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Snapshot().WriteJSON(&b2); err != nil {
+	b2, err := json.MarshalIndent(r.Snapshot(), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(b1, b2) {
 		t.Error("snapshot JSON not byte-identical across marshals")
 	}
-	if !strings.Contains(b1.String(), `"a": 1`) {
-		t.Errorf("snapshot JSON missing counter:\n%s", b1.String())
+	if !strings.Contains(string(b1), `"a": 1`) {
+		t.Errorf("snapshot JSON missing counter:\n%s", b1)
 	}
 }
 
@@ -125,9 +128,6 @@ func TestRunRecordCanonicalStripsHostTiming(t *testing.T) {
 	if c.WallSeconds != 0 || c.SimRateKIPS != 0 {
 		t.Error("canonical record kept host timing")
 	}
-	if r.AttributionTotal() != 100 {
-		t.Errorf("attribution total = %d, want 100", r.AttributionTotal())
-	}
 }
 
 func TestObserverAddRecordMirrorsMetrics(t *testing.T) {
@@ -177,22 +177,8 @@ func TestProgressHeartbeat(t *testing.T) {
 	if !strings.Contains(out, "fig7") || !strings.Contains(out, "KIPS") {
 		t.Errorf("heartbeat output missing fields:\n%s", out)
 	}
-	if p.Done() != 500_000 {
-		t.Errorf("done = %d", p.Done())
-	}
-}
-
-func TestFormatAttribution(t *testing.T) {
-	var buf bytes.Buffer
-	if err := FormatAttribution(&buf, map[string]uint64{"a": 25, "b": 75}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "75.00%") || !strings.Contains(out, "total") {
-		t.Errorf("attribution table wrong:\n%s", out)
-	}
-	if strings.Index(out, "b") > strings.Index(out, "a ") {
-		t.Errorf("not sorted by share:\n%s", out)
+	if got := p.Status().DoneInstructions; got != 500_000 {
+		t.Errorf("done = %d", got)
 	}
 }
 

@@ -76,16 +76,6 @@ func (p *Progress) Add(n uint64) {
 	fmt.Fprintln(w, line)
 }
 
-// Done returns the work completed so far.
-func (p *Progress) Done() uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.done
-}
-
 // ProgressStatus is a point-in-time view of the heartbeat state, used by
 // the live-telemetry HTTP server.
 type ProgressStatus struct {
@@ -108,16 +98,6 @@ func (p *Progress) Status() ProgressStatus {
 		RateKIPS:           p.rate(time.Now()),
 		Label:              p.label,
 	}
-}
-
-// Rate returns the aggregate simulation rate in KIPS.
-func (p *Progress) Rate() float64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rate(time.Now())
 }
 
 // Finish prints a final summary line. If no work was ever recorded the

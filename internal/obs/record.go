@@ -45,15 +45,6 @@ type RunRecord struct {
 	SimRateKIPS float64 `json:"sim_rate_kips"`
 }
 
-// AttributionTotal returns the sum of the cycle-attribution buckets.
-func (r RunRecord) AttributionTotal() uint64 {
-	var t uint64
-	for _, v := range r.CycleAttribution {
-		t += v
-	}
-	return t
-}
-
 // Canonical returns a copy with the host-timing fields zeroed, so two
 // runs of the same experiment with the same seed marshal to identical
 // bytes.
@@ -175,32 +166,4 @@ func (r Report) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("obs: encoding report: %w", err)
 	}
 	return nil
-}
-
-// FormatAttribution renders a cycle-attribution map as an aligned
-// fraction table (one line per bucket, descending share).
-func FormatAttribution(w io.Writer, attr map[string]uint64) error {
-	total := uint64(0)
-	keys := make([]string, 0, len(attr))
-	for k, v := range attr {
-		keys = append(keys, k)
-		total += v
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if attr[keys[i]] != attr[keys[j]] {
-			return attr[keys[i]] > attr[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	for _, k := range keys {
-		frac := 0.0
-		if total > 0 {
-			frac = float64(attr[k]) / float64(total)
-		}
-		if _, err := fmt.Fprintf(w, "%-20s %12d  %6.2f%%\n", k, attr[k], 100*frac); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%-20s %12d\n", "total", total)
-	return err
 }

@@ -7,9 +7,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -299,14 +296,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = v.snapshot()
 	}
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("obs: encoding metrics snapshot: %w", err)
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -185,21 +184,6 @@ func (ss *SeriesSet) Snapshot() map[string]SeriesSnapshot {
 		out[k] = v.Snapshot()
 	}
 	return out
-}
-
-// Names returns the registered series names, sorted.
-func (ss *SeriesSet) Names() []string {
-	if ss == nil {
-		return nil
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	names := make([]string, 0, len(ss.series))
-	for k := range ss.series {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the full set snapshot as indented JSON (the /series

@@ -81,39 +81,6 @@ func (p *Profile) ValueIndex(typ string) int {
 	return -1
 }
 
-// TotalValue sums one value dimension over all samples. A negative
-// index (ValueIndex miss) sums nothing.
-func (p *Profile) TotalValue(valueIdx int) int64 {
-	if valueIdx < 0 {
-		return 0
-	}
-	var t int64
-	for _, s := range p.Samples {
-		if valueIdx < len(s.Values) {
-			t += s.Values[valueIdx]
-		}
-	}
-	return t
-}
-
-// LabelValues sums one value dimension per value of the given sample
-// label key (e.g. "workload"), covering only samples that carry the
-// label.
-func (p *Profile) LabelValues(key string, valueIdx int) map[string]int64 {
-	out := map[string]int64{}
-	if valueIdx < 0 {
-		return out
-	}
-	for _, s := range p.Samples {
-		v, ok := s.Labels[key]
-		if !ok || valueIdx >= len(s.Values) {
-			continue
-		}
-		out[v] += s.Values[valueIdx]
-	}
-	return out
-}
-
 // FuncCost is one function's cost in a top-N report. Flat is the
 // value of samples whose leaf is the function; Cum, filled only by
 // TopCumulative, is the value of samples with the function anywhere on

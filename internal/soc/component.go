@@ -17,18 +17,14 @@ import (
 const Kappa = 16.0
 
 // Component is one replicable SoC building block reduced to its
-// composition parameters: a static unit footprint plus a measured
-// per-unit throughput, dynamic energy per (CPU-equivalent) instruction
-// and leakage power. The evaluator is written against this surface —
-// leakage sums over every powered component, and the dispatcher prices
-// each offload target by its unit rate and energy — so a new device
-// class plugs in by implementing Component and appearing as a dispatch
-// candidate, without touching the composition arithmetic.
+// composition parameters: a measured per-unit throughput, dynamic energy
+// per (CPU-equivalent) instruction and leakage power. The evaluator is
+// written against this surface — leakage sums over every powered
+// component, and the dispatcher prices each offload target by its unit
+// rate and energy — so a new device class plugs in by implementing
+// Component and appearing as a dispatch candidate, without touching the
+// composition arithmetic.
 type Component interface {
-	// ComponentKind names the device class ("core", "gpu", "accel").
-	ComponentKind() string
-	// UnitFootprint is the static silicon cost of one unit.
-	UnitFootprint() device.Footprint
 	// UnitRateIPS is one unit's CPU-equivalent instruction throughput.
 	UnitRateIPS() float64
 	// UnitDynJPerInstr is the dynamic energy per CPU-equivalent
@@ -73,16 +69,6 @@ func CoreComponentOf(r hetsim.CPUResult) (CoreComponent, error) {
 	}, nil
 }
 
-func (c CoreComponent) ComponentKind() string { return "core" }
-
-// UnitFootprint selects the core flavour's footprint by its source
-// configuration (a BaseTFET-class measurement is a TFET core).
-func (c CoreComponent) UnitFootprint() device.Footprint {
-	if c.Config == TFETCoreConfig {
-		return device.TFETCoreFootprint
-	}
-	return device.CMOSCoreFootprint
-}
 func (c CoreComponent) UnitRateIPS() float64      { return c.RateIPS }
 func (c CoreComponent) UnitDynJPerInstr() float64 { return c.DynJPerInstr }
 func (c CoreComponent) UnitLeakW() float64        { return c.LeakW }
@@ -120,7 +106,6 @@ func GPUComponentOf(r hetsim.GPUResult) (GPUComponent, error) {
 	}, nil
 }
 
-func (g GPUComponent) ComponentKind() string           { return "gpu" }
 func (g GPUComponent) UnitFootprint() device.Footprint { return device.GPUCUFootprint }
 func (g GPUComponent) UnitRateIPS() float64            { return g.RateIPSPerCU }
 func (g GPUComponent) UnitDynJPerInstr() float64       { return g.DynJPerInstr }
@@ -169,7 +154,6 @@ func AccelComponentOf(r hetsim.GPUResult, tech AccelTech) (AccelComponent, error
 	}, nil
 }
 
-func (a AccelComponent) ComponentKind() string { return "accel" }
 func (a AccelComponent) UnitFootprint() device.Footprint {
 	return device.AccelFootprint(a.Tech == AccelTFET)
 }

@@ -65,12 +65,8 @@ type Result struct {
 }
 
 // Result implements the hetsim device-independent Result surface.
-func (r Result) DeviceKind() string    { return "soc" }
-func (r Result) ConfigName() string    { return r.Config }
-func (r Result) WorkloadName() string  { return r.Workload }
 func (r Result) Seconds() float64      { return r.TimeSec }
 func (r Result) TotalEnergyJ() float64 { return r.CoreDynJ + r.GPUDynJ + r.AccelDynJ + r.LeakJ }
-func (r Result) ED() float64           { return energy.ED(r.TotalEnergyJ(), r.TimeSec) }
 func (r Result) ED2() float64          { return energy.ED2(r.TotalEnergyJ(), r.TimeSec) }
 
 // Record renders the point as a run record (host timing is stamped by

@@ -141,9 +141,6 @@ func MustGenerator(prof Profile, seed uint64, core int) *Generator {
 	return g
 }
 
-// Profile returns the generator's workload profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // Generated returns how many instructions have been produced so far.
 func (g *Generator) Generated() uint64 { return g.generated }
 
@@ -341,13 +338,4 @@ func (g *Generator) outcome(s *branchSite) bool {
 	default:
 		return g.rng.below(coinT)
 	}
-}
-
-// Take materialises the next n instructions (mostly for tests).
-func (g *Generator) Take(n int) []Inst {
-	out := make([]Inst, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
 }

@@ -48,16 +48,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Geometric samples a geometric distribution with the given mean (>= 1):
-// the number of trials up to and including the first success. Used for
-// dependency distances, where the mean encodes the workload's ILP.
-func (r *RNG) Geometric(mean float64) int {
-	if mean < 1 {
-		panic("trace: geometric mean must be >= 1")
-	}
-	return r.geometric(threshold(1 / mean))
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p

@@ -81,7 +81,7 @@ func TestGeometricMean(t *testing.T) {
 		var sum float64
 		const n = 200000
 		for i := 0; i < n; i++ {
-			v := r.Geometric(mean)
+			v := r.geometric(threshold(1 / mean))
 			if v < 1 {
 				t.Fatalf("Geometric(%v) = %d < 1", mean, v)
 			}
@@ -92,15 +92,6 @@ func TestGeometricMean(t *testing.T) {
 			t.Errorf("Geometric mean(%v) = %v", mean, got)
 		}
 	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0.5) did not panic")
-		}
-	}()
-	NewRNG(1).Geometric(0.5)
 }
 
 func TestBoolProbability(t *testing.T) {
@@ -129,7 +120,7 @@ func TestRNGProperty(t *testing.T) {
 			if v := r.Intn(10); v < 0 || v >= 10 {
 				return false
 			}
-			if g := r.Geometric(3); g < 1 || g > 1024 {
+			if g := r.geometric(threshold(1.0 / 3)); g < 1 || g > 1024 {
 				return false
 			}
 		}

@@ -37,7 +37,7 @@ func TestStreamReplayMatchesGenerator(t *testing.T) {
 // under -race it also checks the block hand-off.
 func TestStreamReadersAtDifferentPaces(t *testing.T) {
 	p, _ := CPUWorkload("canneal")
-	want := MustGenerator(p, 7, 2).Take(replayLen)
+	want := take(MustGenerator(p, 7, 2), replayLen)
 	reg := obs.NewRegistry()
 	st := NewStreamStore(reg)
 	var wg sync.WaitGroup

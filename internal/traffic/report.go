@@ -45,16 +45,6 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// Scenario returns the named scenario, if present.
-func (r *Report) Scenario(name string) (Result, bool) {
-	for _, s := range r.Scenarios {
-		if s.Scenario == name {
-			return s, true
-		}
-	}
-	return Result{}, false
-}
-
 // WriteJSON writes the report deterministically (sorted, indented, one
 // trailing newline) so CI can byte-compare warm reruns.
 func (r *Report) WriteJSON(path string) error {
@@ -64,20 +54,4 @@ func (r *Report) WriteJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadReport loads and validates a report file.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("traffic: %s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("traffic: %s: %w", path, err)
-	}
-	return &r, nil
 }

@@ -96,22 +96,9 @@ type Result struct {
 }
 
 // Result implements the hetsim device-independent Result surface.
-func (r Result) DeviceKind() string    { return "traffic" }
-func (r Result) ConfigName() string    { return r.Scenario }
-func (r Result) WorkloadName() string  { return r.Trace }
 func (r Result) Seconds() float64      { return r.SimSec }
 func (r Result) TotalEnergyJ() float64 { return r.DynJ + r.LeakJ }
-func (r Result) ED() float64           { return energy.ED(r.TotalEnergyJ(), r.SimSec) }
 func (r Result) ED2() float64          { return energy.ED2(r.TotalEnergyJ(), r.SimSec) }
-
-// SLOCompliance is the fraction of offered requests served within the
-// SLO, in [0, 1].
-func (r Result) SLOCompliance() float64 {
-	if r.Requests == 0 {
-		return 1
-	}
-	return 1 - float64(r.SLOViolations)/float64(r.Requests)
-}
 
 // Record renders the scenario as a run record (host timing is stamped by
 // the caller via Observer.FinishRecord).

@@ -99,9 +99,6 @@ func TestCacheAwareBeatsNaive(t *testing.T) {
 		t.Errorf("cacheaware violated the SLO %d times, naive %d — compliance regressed",
 			aware.SLOViolations, naive.SLOViolations)
 	}
-	if aware.SLOCompliance() < naive.SLOCompliance() {
-		t.Errorf("cacheaware compliance %.4f below naive %.4f", aware.SLOCompliance(), naive.SLOCompliance())
-	}
 }
 
 // A hard power budget caps the awake fleet (and therefore average power).

@@ -65,18 +65,6 @@ func (t Trace) PeakRPS() float64 {
 	return peak
 }
 
-// MeanRPS returns the time-weighted mean rate.
-func (t Trace) MeanRPS() float64 {
-	if len(t.RPS) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range t.RPS {
-		sum += r
-	}
-	return sum / float64(len(t.RPS))
-}
-
 // The synthetic curves are sized for the default c4t4g0 mix at the
 // default request size: the diurnal peak pushes a naive all-awake fleet
 // to ~30% utilization while the trough leaves it nearly idle — the

@@ -39,6 +39,11 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== bench module (go build, go vet) =="
+# bench/ is its own module and compiles against internal/ names, so a
+# removed or renamed function there breaks the repository benchmark.
+(cd bench && go build ./... && go vet ./...)
+
 echo "== engine determinism (go test -race) =="
 # The run-plan engine carries the whole -jobs determinism contract, so
 # its tests (plus the harness golden jobs=1-vs-jobs=8 comparison) get an
