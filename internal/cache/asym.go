@@ -78,7 +78,7 @@ func (a *AsymmetricDL1) Access(addr uint64, isWrite bool) AsymResult {
 		// Promotion: line now lives in fast (already filled above);
 		// remove the stale slow copy. Its dirtiness is preserved by
 		// the fast fill for writes; for reads we must not lose it.
-		_, dirty := a.slow.Invalidate(addr)
+		_, dirty := a.slow.remove(addr)
 		if dirty && !isWrite {
 			a.fast.MarkDirty(addr)
 		}
@@ -93,7 +93,7 @@ func (a *AsymmetricDL1) Access(addr uint64, isWrite bool) AsymResult {
 		} else {
 			a.stats.ReadMisses++
 		}
-		a.slow.Invalidate(addr)
+		a.slow.remove(addr)
 		out.Result = sres // propagate the slow-array eviction, if any
 		out.Result.Hit = false
 		if sres.EvictedDirty {

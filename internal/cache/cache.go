@@ -221,13 +221,23 @@ func (c *Cache) find(addr uint64) *line {
 func (c *Cache) Probe(addr uint64) bool { return c.find(addr) != nil }
 
 // Invalidate removes addr's line if present, returning whether it was
-// present and whether it was dirty (the caller owns any writeback).
+// present and whether it was dirty (the caller owns any writeback). It
+// counts a received coherence invalidation when the line was present.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
+	present, dirty = c.remove(addr)
+	if present {
+		c.stats.Invalidates++
+	}
+	return present, dirty
+}
+
+// remove drops addr's line if present without counting it: the
+// asymmetric DL1 moves lines between its arrays with it.
+func (c *Cache) remove(addr uint64) (present, dirty bool) {
 	l := c.find(addr)
 	if l == nil {
 		return false, false
 	}
-	c.stats.Invalidates++
 	dirty = l.dirty()
 	*l = line{}
 	return true, dirty

@@ -94,6 +94,33 @@ func TestAsymmetricDL1MissesMatchPlainDL1(t *testing.T) {
 	}
 }
 
+// Promotions and the undo of the slow array's probe fill move lines
+// inside the DL1; only a coherence invalidation counts as one.
+func TestAsymmetricInternalMovesAreNotInvalidations(t *testing.T) {
+	a, _ := NewAsymmetricDL1(4*1024, 28*1024, 7, 64)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50_000; i++ {
+		addr := uint64(rng.Intn(64 * 1024))
+		a.Access(addr, rng.Intn(10) < 3)
+	}
+	if a.Swaps == 0 || a.Stats().Misses() == 0 {
+		t.Fatalf("stream exercised no promotion or no miss: swaps %d, %+v", a.Swaps, a.Stats())
+	}
+	if n := a.FastStats().Invalidates + a.SlowStats().Invalidates + a.Stats().Invalidates; n != 0 {
+		t.Errorf("%d invalidations counted with no coherence traffic", n)
+	}
+	a.Access(0x40, false)
+	if present, _ := a.Invalidate(0x40); !present {
+		t.Fatal("resident line not found by a coherence invalidation")
+	}
+	if got := a.Stats().Invalidates; got != 1 {
+		t.Errorf("DL1 invalidates = %d, want 1", got)
+	}
+	if got := a.FastStats().Invalidates + a.SlowStats().Invalidates; got != 1 {
+		t.Errorf("array invalidates = %d, want 1", got)
+	}
+}
+
 func TestCountsDelta(t *testing.T) {
 	h, _ := NewHierarchy(testConfig(2))
 	h.Read(0, 0x40)

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"hetcore/internal/energy"
 	"hetcore/internal/engine"
 	"hetcore/internal/gpu"
 	"hetcore/internal/hetsim"
+	"hetcore/internal/obs"
 	"hetcore/internal/soc"
 	"hetcore/internal/trace"
 )
@@ -124,7 +127,10 @@ func socComponents(opts Options, wls []soc.Workload, needKernel bool) (map[strin
 // evaluated points in (space, workload) declaration order. Over-budget
 // mixes are rejected by the footprint sum alone — they never simulate —
 // and both populations feed the soc.configs_evaluated /
-// soc.configs_over_budget counters.
+// soc.configs_over_budget counters. A point leaves no run record of its
+// own: a search that evaluated any point in this process adds one
+// summary record (socSearchRecord), and one served wholly from a cache
+// adds none.
 func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Result, []soc.Config, error) {
 	if err := budget.Validate(); err != nil {
 		return nil, nil, err
@@ -153,6 +159,7 @@ func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Re
 		return nil, nil, err
 	}
 
+	var evaluated, evalNanos atomic.Int64
 	jobs := make([]engine.Job, 0, len(in)*len(wls))
 	for _, cfg := range in {
 		for _, wl := range wls {
@@ -161,12 +168,13 @@ func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Re
 				Key: engine.Key{Device: "soc", Config: cfg.Name(), Workload: wl.Name,
 					Seed: opts.Seed, Instr: opts.Instructions},
 				Run: func() (any, error) {
-					wallStart := time.Now()
+					start := time.Now()
 					res, err := soc.Evaluate(cfg, wl, opts.Instructions, c)
 					if err != nil {
 						return nil, fmt.Errorf("harness: soc %s/%s: %w", cfg.Name(), wl.Name, err)
 					}
-					opts.Obs.FinishRecord(res.Record(opts.Seed), wallStart, res.Instructions)
+					evalNanos.Add(int64(time.Since(start)))
+					evaluated.Add(1)
 					return res, nil
 				},
 			})
@@ -176,11 +184,38 @@ func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Re
 	if err != nil {
 		return nil, nil, err
 	}
+	if n := evaluated.Load(); n > 0 {
+		opts.Obs.AddRecord(socSearchRecord(opts, budget, wls, len(in), len(over), n,
+			time.Duration(evalNanos.Load())))
+	}
 	results := make([]soc.Result, len(outs))
 	for i, out := range outs {
 		results[i] = out.(soc.Result)
 	}
 	return results, over, nil
+}
+
+// socSearchRecord is the one run record of a search that evaluated
+// points in this process: the budget, the workloads, the mix and point
+// counts, and as host timing the summed evaluate time of those points.
+// Points served from a cache are counted in points but not in
+// points_evaluated.
+func socSearchRecord(opts Options, budget energy.Budget, wls []soc.Workload,
+	inBudget, overBudget int, evaluated int64, eval time.Duration) obs.RunRecord {
+	names := make([]string, len(wls))
+	for i, wl := range wls {
+		names[i] = wl.Name
+	}
+	return obs.RunRecord{
+		Kind: "soc", Config: budget.String(), Workload: strings.Join(names, ","), Seed: opts.Seed,
+		Extra: map[string]float64{
+			"mixes_in_budget":   float64(inBudget),
+			"mixes_over_budget": float64(overBudget),
+			"points":            float64(inBudget * len(wls)),
+			"points_evaluated":  float64(evaluated),
+		},
+		WallSeconds: eval.Seconds(),
+	}
 }
 
 // SoCPareto runs the design-space search under the budget and renders

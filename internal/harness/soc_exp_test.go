@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,6 +91,61 @@ func TestSearchSoCCountsAndCounters(t *testing.T) {
 		}
 		if r.TimeSec <= 0 || r.TotalEnergyJ() <= 0 {
 			t.Errorf("%s/%s: non-positive time/energy: %+v", r.Config, r.Workload, r)
+		}
+	}
+}
+
+// TestSearchSoCSummaryRecord: a cold search adds exactly one soc run
+// record, whose counts match the budget counters and which is the same
+// at -jobs 1 and -jobs 8 apart from host timing; a second search served
+// from memory adds none.
+func TestSearchSoCSummaryRecord(t *testing.T) {
+	socRecords := func(o *obs.Observer) []obs.RunRecord {
+		var out []obs.RunRecord
+		for _, r := range o.Records.Records() {
+			if r.Kind == "soc" {
+				out = append(out, r.Canonical())
+			}
+		}
+		return out
+	}
+	var first obs.RunRecord
+	for _, jobs := range []int{1, 8} {
+		o := &obs.Observer{Metrics: obs.NewRegistry(), Records: &obs.RecordSink{}}
+		opts := socTestOptions(t, jobs, o)
+		results, over, err := SearchSoC(opts, soc.DefaultBudget(), soc.DefaultSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := socRecords(o)
+		if len(recs) != 1 {
+			t.Fatalf("-jobs %d: cold search added %d soc records, want 1", jobs, len(recs))
+		}
+		r := recs[0]
+		snap := o.Reg().Snapshot()
+		want := map[string]float64{
+			"mixes_in_budget":   float64(snap.Counters["soc.configs_evaluated"]),
+			"mixes_over_budget": float64(snap.Counters["soc.configs_over_budget"]),
+			"points":            float64(len(results)),
+			"points_evaluated":  float64(len(results)),
+		}
+		if !reflect.DeepEqual(r.Extra, want) {
+			t.Errorf("-jobs %d: summary extra %v, want %v", jobs, r.Extra, want)
+		}
+		if int(r.Extra["mixes_over_budget"]) != len(over) {
+			t.Errorf("-jobs %d: %v mixes over budget, search returned %d", jobs, r.Extra["mixes_over_budget"], len(over))
+		}
+		if jobs == 1 {
+			first = r
+		} else if !reflect.DeepEqual(r, first) {
+			t.Errorf("summary differs between -jobs 1 and -jobs 8:\n%+v\n%+v", first, r)
+		}
+
+		if _, _, err := SearchSoC(opts, soc.DefaultBudget(), soc.DefaultSpace()); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(socRecords(o)); n != 1 {
+			t.Errorf("-jobs %d: a search served from memory added %d soc records", jobs, n-1)
 		}
 	}
 }

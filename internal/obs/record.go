@@ -18,7 +18,7 @@ const SchemaVersion = "hetcore.obs/v1"
 // Canonical for byte-identity comparisons.
 type RunRecord struct {
 	Schema     string `json:"schema"`
-	Kind       string `json:"kind"` // "cpu", "gpu" or "cmp"
+	Kind       string `json:"kind"` // "cpu", "gpu", "cmp", "traffic" or "soc" (one per search)
 	Experiment string `json:"experiment,omitempty"`
 	Config     string `json:"config"`
 	Workload   string `json:"workload"`

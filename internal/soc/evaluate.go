@@ -6,7 +6,6 @@ import (
 
 	"hetcore/internal/energy"
 	"hetcore/internal/governor"
-	"hetcore/internal/obs"
 	"hetcore/internal/trace"
 )
 
@@ -68,27 +67,6 @@ type Result struct {
 func (r Result) Seconds() float64      { return r.TimeSec }
 func (r Result) TotalEnergyJ() float64 { return r.CoreDynJ + r.GPUDynJ + r.AccelDynJ + r.LeakJ }
 func (r Result) ED2() float64          { return energy.ED2(r.TotalEnergyJ(), r.TimeSec) }
-
-// Record renders the point as a run record (host timing is stamped by
-// the caller via Observer.FinishRecord).
-func (r Result) Record(seed uint64) obs.RunRecord {
-	return obs.RunRecord{
-		Kind: "soc", Config: r.Config, Workload: r.Workload, Seed: seed,
-		Instructions: r.Instructions,
-		TimeSec:      r.TimeSec,
-		EnergyJ: map[string]float64{
-			"core_dyn": r.CoreDynJ, "gpu_dyn": r.GPUDynJ, "accel_dyn": r.AccelDynJ,
-			"leak": r.LeakJ,
-		},
-		Extra: map[string]float64{
-			"area_mm2":     r.AreaMM2,
-			"peak_w":       r.PeakW,
-			"serial_sec":   r.SerialSec,
-			"parallel_sec": r.ParallelSec,
-			"offload_frac": r.OffloadFrac,
-		},
-	}
-}
 
 // placement is one candidate's full composition: the offload split and
 // the resulting times and dynamic energies.

@@ -1,8 +1,6 @@
 package soc
 
 import (
-	"time"
-
 	"hetcore/internal/hetsim"
 	"hetcore/internal/obs"
 	"hetcore/internal/trace"
@@ -72,20 +70,15 @@ func ComponentsOf(cores []hetsim.CPUResult, kernels []hetsim.GPUResult) ([]Compo
 
 // Run evaluates the mix on the workload as a daemon does from a key
 // soc/<mix>/<workload>/s<seed>/i<instr> alone: it measures its own
-// components (MeasureComponents) and evaluates the mix on them.
+// components (MeasureComponents) and evaluates the mix on them. A point
+// leaves no run record; the harness's search records one summary.
 func Run(cfg Config, wl Workload, opts hetsim.RunOpts) (Result, error) {
-	wallStart := time.Now()
 	comps, err := MeasureComponents(wl, opts.Seed, opts.TotalInstructions,
 		cfg.GPUCUs > 0 || cfg.AccelUnits > 0)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := Evaluate(cfg, wl, opts.TotalInstructions, comps)
-	if err != nil {
-		return Result{}, err
-	}
-	opts.Obs.FinishRecord(res.Record(opts.Seed), wallStart, res.Instructions)
-	return res, nil
+	return Evaluate(cfg, wl, opts.TotalInstructions, comps)
 }
 
 // CoreRuns returns the 1-core CMOS and TFET core runs of every profile:

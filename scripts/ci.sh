@@ -140,6 +140,14 @@ if ! grep -q '"engine_jobs_run": 13087' "$tmp/all-cold.json"; then
     grep '"engine_' "$tmp/all-cold.json" >&2
     exit 1
 fi
+# The exact run-record count: 155 cpu, 96 gpu, 28 cmp and 12 traffic
+# runs plus one summary record of the SoC search (its 12,782 design
+# points leave no record each).
+if ! grep -q '"runs": 292,' "$tmp/all-cold.json"; then
+    echo "cold hetcore all reported a different number of run records than 292:" >&2
+    grep '"runs": [0-9]' "$tmp/all-cold.json" >&2
+    exit 1
+fi
 # A report diffed against itself at zero tolerance must pass, and must
 # print the same table every time (a warm report has no run records, so
 # the cold one is used).
@@ -165,6 +173,12 @@ fi
 if ! grep -q '"engine_disk_hits": 13087' "$tmp/all-warm.json"; then
     echo "cached hetcore all read a different number of disk entries than 13087:" >&2
     grep '"engine_' "$tmp/all-warm.json" >&2
+    exit 1
+fi
+# Runs served from the disk cache, SoC points included, add no record.
+if ! grep -q '"runs": 0,' "$tmp/all-warm.json"; then
+    echo "cached hetcore all still reported run records:" >&2
+    grep '"runs": [0-9]' "$tmp/all-warm.json" >&2
     exit 1
 fi
 # The plan's workers pull jobs in order at any width; the printed bytes
@@ -276,6 +290,12 @@ if ! grep -q '"engine_jobs_run": 0' "$tmp/soc-rerun.json"; then
 fi
 if ! grep -q '"soc_configs_evaluated"' "$tmp/soc-rerun.json"; then
     echo "soc manifest counters missing from the report" >&2
+    exit 1
+fi
+# A search served wholly from the cache adds no summary record.
+if ! grep -q '"runs": 0,' "$tmp/soc-rerun.json"; then
+    echo "cached soc rerun still reported run records:" >&2
+    grep '"runs": [0-9]' "$tmp/soc-rerun.json" >&2
     exit 1
 fi
 # The dist gate's hetserved is still up: the same sweep through it must
