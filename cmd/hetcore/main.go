@@ -58,8 +58,7 @@ var commands = []command{
 	{"load", "drive an open- or closed-loop job stream at a hetserved daemon", load},
 	{"bench", "measure this host's simulation rate", bench},
 	{"hotspots", "profile one workload: top functions by cumulative/flat CPU and allocation", hotspots},
-	{"trend", "gate the newest BENCH_history.jsonl entries on their history", trend},
-	{"diff", "compare two reports/bench/load records, exit 1 on regression", diff},
+	{"diff", "compare two reports, bench, load records or traffic reports; exit 1 on regression", diff},
 	{"version", "print the cache/wire version stamp", version},
 }
 
@@ -284,7 +283,6 @@ func trafficCmd(args []string) error {
 	sloMS := fs.Float64("slo-ms", 0, "latency SLO in milliseconds (0 = default 50)")
 	reqInstr := fs.Uint64("req-instr", 0, "instructions per request (0 = default 2000000)")
 	out := fs.String("o", "", "write the hetcore.traffic/v1 report JSON here")
-	history := fs.String("history", "", "append the report to this BENCH_history.jsonl")
 	f := addTableFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -330,13 +328,6 @@ func trafficCmd(args []string) error {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-	if *history != "" {
-		entry := harness.NewTrafficHistoryEntry(*rep, runtime.Version(), time.Now().Unix())
-		if err := harness.AppendHistory(*history, entry); err != nil {
-			return err
-		}
-		fmt.Printf("appended to %s\n", *history)
-	}
 	return sess.Close()
 }
 
@@ -344,8 +335,7 @@ func trafficCmd(args []string) error {
 // client-observed throughput and latency quantiles. Hot keys are warmed
 // before the window starts; cold keys come from a seed range no
 // experiment uses. -o writes the BENCH_load.json record that
-// "hetcore diff" gates against a baseline; -history feeds "hetcore
-// trend".
+// "hetcore diff" gates against a baseline.
 func load(args []string) error {
 	fs := flag.NewFlagSet("hetcore load", flag.ExitOnError)
 	var cfg dist.LoadConfig
@@ -359,7 +349,6 @@ func load(args []string) error {
 	fs.Int64Var(&cfg.Seed, "seed", 1, "request-stream seed")
 	fs.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-request timeout")
 	out := fs.String("o", "", "write the BENCH_load.json record to this file")
-	history := fs.String("history", "", "append the record to this BENCH_history.jsonl")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -374,12 +363,7 @@ func load(args []string) error {
 		return err
 	}
 	if *out != "" {
-		if err := harness.WriteFile(*out, rec.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if *history != "" {
-		return harness.AppendHistory(*history, harness.NewLoadHistoryEntry(rec, time.Now().Unix()))
+		return harness.WriteFile(*out, rec.WriteJSON)
 	}
 	return nil
 }
@@ -389,7 +373,6 @@ func bench(args []string) error {
 	instr := fs.Uint64("instr", 0, "CPU instruction budget (0 = 2000000)")
 	seed := fs.Uint64("seed", 1, "workload synthesis seed")
 	out := fs.String("o", "BENCH_sim_rate.json", "output file")
-	history := fs.String("history", "", "also append the record to this BENCH_history.jsonl")
 	var jobs int
 	harness.AddJobsFlag(fs, &jobs)
 	if err := fs.Parse(args); err != nil {
@@ -402,20 +385,11 @@ func bench(args []string) error {
 	if err := harness.WriteFile(*out, rec.WriteJSON); err != nil {
 		return err
 	}
-	if *history != "" {
-		entry := harness.NewBenchHistoryEntry(rec, time.Now().Unix())
-		if err := harness.AppendHistory(*history, entry); err != nil {
-			return err
-		}
-	}
 	fmt.Printf("cpu  %12.0f insts/s  (%s, %d insts in %.2fs)\n",
 		rec.CPUInstsPerSec, rec.CPUWorkload, rec.CPUInstructions, rec.CPUWallSeconds)
 	fmt.Printf("gpu  %12.0f wave-insts/s  (%s, %d insts in %.2fs)\n",
 		rec.GPUWaveInstsPerSec, rec.GPUKernel, rec.GPUWaveInsts, rec.GPUWallSeconds)
 	fmt.Printf("wrote %s\n", *out)
-	if *history != "" {
-		fmt.Printf("appended to %s\n", *history)
-	}
 	return nil
 }
 
@@ -461,51 +435,9 @@ func hotspots(args []string) error {
 	return nil
 }
 
-// trend gates the newest history entries against the median of their
-// predecessors.
-func trend(args []string) error {
-	fs := flag.NewFlagSet("hetcore trend", flag.ExitOnError)
-	history := fs.String("history", "BENCH_history.jsonl", "history file (JSONL)")
-	window := fs.Int("window", 0, "median window: last N prior entries per kind (0 = all)")
-	tol := fs.Float64("tol", 0.1, "tolerance for deterministic metrics, percent")
-	rateTol := fs.Float64("rate-tol", 25, "tolerance for host-timing metrics, percent")
-	quiet := fs.Bool("q", false, "only print regressions and the verdict")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	entries, err := harness.LoadHistory(*history)
-	if err != nil {
-		return err
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("trend: %s has no entries", *history)
-	}
-	res := harness.Trend(entries, *window, harness.DiffOptions{
-		RelTol:  *tol / 100,
-		RateTol: *rateTol / 100,
-	})
-	if *quiet {
-		for _, k := range res.Kinds {
-			for _, row := range k.Diff.Regressions() {
-				fmt.Printf("%s %s: %s -> %s (%.2f%%) REGRESSED\n",
-					k.Kind, row.Metric, harness.FormatMetric(row.Old),
-					harness.FormatMetric(row.New), row.DeltaPct)
-			}
-		}
-	} else if err := res.Format(os.Stdout); err != nil {
-		return err
-	}
-	if res.Regressed() {
-		return fmt.Errorf("trend regression in %s", *history)
-	}
-	if *quiet {
-		fmt.Println("-- trend OK")
-	}
-	return nil
-}
-
-// diff compares two -metrics-out reports, two bench records or two
-// load records, and fails when a metric regressed beyond its threshold.
+// diff compares two -metrics-out reports, two bench records, two load
+// records or two traffic reports, and fails when a metric regressed
+// beyond its threshold.
 func diff(args []string) error {
 	fs := flag.NewFlagSet("hetcore diff", flag.ExitOnError)
 	tol := fs.Float64("tol", 0.1, "tolerance for deterministic metrics, percent")

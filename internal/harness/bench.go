@@ -34,9 +34,7 @@ type BenchRecord struct {
 	// Full-suite figures: the fig7 configuration matrix over a fixed
 	// workload subset executed as one run plan on the engine worker
 	// pool. SuiteRuns is deterministic; the wall time tracks the
-	// parallel speedup on this host. A record that predates the engine
-	// has none of these, and diff and trend skip the suite metrics
-	// whenever either side lacks them.
+	// parallel speedup on this host.
 	SuiteJobs        int     `json:"suite_jobs,omitempty"`
 	SuiteRuns        int     `json:"suite_runs,omitempty"`
 	SuiteWallSeconds float64 `json:"suite_wall_seconds,omitempty"`

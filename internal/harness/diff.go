@@ -56,8 +56,7 @@ const (
 )
 
 // metric is one named value of a payload. Every payload `hetcore diff`
-// and `hetcore trend` read flattens to a vector of these, so one
-// function diffs any two vectors and one takes the median of many.
+// reads flattens to a vector of these, so one function diffs any two.
 type metric struct {
 	subject string // run or scenario key; "" for a payload-wide metric
 	name    string
@@ -341,20 +340,14 @@ func trafficMetrics(r traffic.Report) []metric {
 // timing and may only fall by RateTol; instruction and run counts are
 // exact.
 func benchMetrics(b BenchRecord) []metric {
-	ms := []metric{
+	return []metric{
 		{"", "cpu_insts_per_sec", b.CPUInstsPerSec, higherBetter, hostTiming},
 		{"", "gpu_wave_insts_per_sec", b.GPUWaveInstsPerSec, higherBetter, hostTiming},
 		{"", "cpu_instructions", float64(b.CPUInstructions), exactMatch, deterministic},
 		{"", "gpu_wave_insts", float64(b.GPUWaveInsts), exactMatch, deterministic},
+		{"", "suite_runs", float64(b.SuiteRuns), exactMatch, deterministic},
+		{"", "suite_runs_per_sec", b.SuiteRunsPerSec, higherBetter, hostTiming},
 	}
-	// Records that predate the run-plan engine have no suite fields; the
-	// diff skips a metric either side lacks, so they still compare.
-	if b.SuiteRuns > 0 {
-		ms = append(ms,
-			metric{"", "suite_runs", float64(b.SuiteRuns), exactMatch, deterministic},
-			metric{"", "suite_runs_per_sec", b.SuiteRunsPerSec, higherBetter, hostTiming})
-	}
-	return ms
 }
 
 // loadMetrics lists a load-test record: throughput may only fall,

@@ -9,6 +9,7 @@ import (
 
 	"hetcore/internal/dist"
 	"hetcore/internal/obs"
+	"hetcore/internal/traffic"
 )
 
 // fixtureReport builds a deterministic report with two runs.
@@ -286,5 +287,70 @@ func TestDiffZeroTolIsExact(t *testing.T) {
 	regs := res.Regressions()
 	if len(regs) != 1 || regs[0].Metric != "fig7/cpu/AdvHet/barnes.instructions" {
 		t.Fatalf("regressions = %+v, want only the instruction count", regs)
+	}
+}
+
+// TestCommittedBaselines: every committed baseline that scripts/ci.sh
+// diffs against loads as the payload kind its gate expects, and the
+// traffic baseline, a deterministic simulation, matches a fresh report
+// at CI's settings exactly.
+func TestCommittedBaselines(t *testing.T) {
+	dir := filepath.Join("..", "..", "scripts", "baseline")
+	want := map[string]string{
+		"BENCH_sim_rate.json": "bench",
+		"BENCH_load.json":     "load",
+		"BENCH_traffic.json":  "traffic",
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range entries {
+		kind, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("%s: no CI gate diffs against this baseline", e.Name())
+			continue
+		}
+		seen[e.Name()] = true
+		p, err := loadPayload(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		} else if p.kind != kind {
+			t.Errorf("%s loads as a %s, want a %s", e.Name(), p.kind, kind)
+		}
+	}
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("baseline %s is missing", name)
+		}
+	}
+
+	// hetcore traffic -instr 40000: the diurnal trace, default mixes and
+	// policies.
+	tr, fileTrace, err := traffic.ResolveTrace("diurnal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := TrafficReport(trafficTestOptions(t, 0), tr, fileTrace,
+		traffic.DefaultMixes, traffic.PolicyNames(), TrafficKnobs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(t.TempDir(), "traffic.json")
+	if err := rep.WriteJSON(fresh); err != nil {
+		t.Fatal(err)
+	}
+	res, err := DiffFiles(filepath.Join(dir, "BENCH_traffic.json"), fresh, DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("traffic baseline compared no metric")
+	}
+	for _, row := range res.Rows {
+		if row.Status != "ok" {
+			t.Errorf("traffic baseline %s: %v -> %v (%s)", row.Metric, row.Old, row.New, row.Status)
+		}
 	}
 }

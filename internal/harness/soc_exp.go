@@ -125,12 +125,12 @@ func socComponents(opts Options, wls []soc.Workload, needKernel bool) (map[strin
 // SearchSoC evaluates every in-budget mix of the space over the option's
 // workloads, one engine job per (mix, workload) point, and returns the
 // evaluated points in (space, workload) declaration order. Over-budget
-// mixes are rejected by the footprint sum alone — they never simulate —
-// and both populations feed the soc.configs_evaluated /
-// soc.configs_over_budget counters. A point leaves no run record of its
-// own: a search that evaluated any point in this process adds one
-// summary record (socSearchRecord), and one served wholly from a cache
-// adds none.
+// mixes are rejected by the footprint sum alone — they never simulate.
+// A point leaves no run record of its own: a search that evaluated any
+// point in this process adds one summary record (socSearchRecord) and
+// both populations to the soc.configs_evaluated /
+// soc.configs_over_budget counters, and one served wholly from a cache
+// adds neither.
 func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Result, []soc.Config, error) {
 	if err := budget.Validate(); err != nil {
 		return nil, nil, err
@@ -140,10 +140,6 @@ func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Re
 		return nil, nil, err
 	}
 	in, over := soc.Partition(space, budget)
-	if reg := opts.Obs.Reg(); reg != nil {
-		reg.Counter("soc.configs_evaluated").Add(uint64(len(in)))
-		reg.Counter("soc.configs_over_budget").Add(uint64(len(over)))
-	}
 	if len(in) == 0 {
 		return nil, over, fmt.Errorf("harness: no SoC mix fits %s", budget.String())
 	}
@@ -187,6 +183,10 @@ func SearchSoC(opts Options, budget energy.Budget, space []soc.Config) ([]soc.Re
 	if n := evaluated.Load(); n > 0 {
 		opts.Obs.AddRecord(socSearchRecord(opts, budget, wls, len(in), len(over), n,
 			time.Duration(evalNanos.Load())))
+		if reg := opts.Obs.Reg(); reg != nil {
+			reg.Counter("soc.configs_evaluated").Add(uint64(len(in)))
+			reg.Counter("soc.configs_over_budget").Add(uint64(len(over)))
+		}
 	}
 	results := make([]soc.Result, len(outs))
 	for i, out := range outs {

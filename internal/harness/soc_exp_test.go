@@ -98,7 +98,7 @@ func TestSearchSoCCountsAndCounters(t *testing.T) {
 // TestSearchSoCSummaryRecord: a cold search adds exactly one soc run
 // record, whose counts match the budget counters and which is the same
 // at -jobs 1 and -jobs 8 apart from host timing; a second search served
-// from memory adds none.
+// from memory adds no record and leaves the counters as they were.
 func TestSearchSoCSummaryRecord(t *testing.T) {
 	socRecords := func(o *obs.Observer) []obs.RunRecord {
 		var out []obs.RunRecord
@@ -146,6 +146,13 @@ func TestSearchSoCSummaryRecord(t *testing.T) {
 		}
 		if n := len(socRecords(o)); n != 1 {
 			t.Errorf("-jobs %d: a search served from memory added %d soc records", jobs, n-1)
+		}
+		again := o.Reg().Snapshot()
+		for _, c := range []string{"soc.configs_evaluated", "soc.configs_over_budget"} {
+			if again.Counters[c] != snap.Counters[c] {
+				t.Errorf("-jobs %d: a search served from memory moved %s %d -> %d",
+					jobs, c, snap.Counters[c], again.Counters[c])
+			}
 		}
 	}
 }

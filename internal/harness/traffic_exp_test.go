@@ -54,7 +54,7 @@ func TestTrafficDeterministicAcrossJobs(t *testing.T) {
 }
 
 // fixtureTrafficReport builds a small deterministic report by hand — the
-// diff and trend paths only read the scored fields.
+// diff only reads the scored fields.
 func fixtureTrafficReport() traffic.Report {
 	return traffic.Report{
 		Schema: traffic.SchemaVersion, Trace: "diurnal", SLOMS: 50, Seed: 1,
@@ -166,40 +166,12 @@ func TestDiffFilesTrafficSniffing(t *testing.T) {
 	}
 }
 
-// TestTrendTrafficKind: traffic entries trend like any other kind — the
-// newest report is scored against the field-wise median of its
-// predecessors, so a real energy-per-request creep fails while the
-// deterministic steady state passes.
-func TestTrendTrafficKind(t *testing.T) {
-	entry := func(eprScale float64, unix int64) HistoryEntry {
-		r := fixtureTrafficReport()
-		for i := range r.Scenarios {
-			r.Scenarios[i].EnergyPerReqJ *= eprScale
-		}
-		return NewTrafficHistoryEntry(r, "go-test", unix)
-	}
-	good := []HistoryEntry{entry(1, 1), entry(1, 2), entry(1, 3)}
-	if res := Trend(good, 0, DiffOptions{}); res.Regressed() {
-		t.Fatalf("steady traffic trend regressed: %+v", res.Kinds)
-	}
-	bad := []HistoryEntry{entry(1, 1), entry(1, 2), entry(1.2, 3)}
-	res := Trend(bad, 0, DiffOptions{})
-	if !res.Regressed() {
-		t.Fatal("+20% energy per request passed the trend gate")
-	}
-	if len(res.Kinds) != 1 || res.Kinds[0].Kind != "traffic" || res.Kinds[0].Baseline != 2 {
-		t.Fatalf("kinds = %+v, want one traffic kind with baseline 2", res.Kinds)
-	}
-}
-
-// withTrace returns the fixture report with every scenario on trace, and
-// the energy per request scaled by eprScale.
-func withTrace(trace string, eprScale float64) traffic.Report {
+// withTrace returns the fixture report with every scenario on trace.
+func withTrace(trace string) traffic.Report {
 	r := fixtureTrafficReport()
 	r.Trace = trace
 	for i := range r.Scenarios {
 		r.Scenarios[i].Trace = trace
-		r.Scenarios[i].EnergyPerReqJ *= eprScale
 	}
 	return r
 }
@@ -208,8 +180,8 @@ func withTrace(trace string, eprScale float64) traffic.Report {
 // diurnal report diffed against a bursty one compares no numbers: every
 // diurnal scenario is missing and every bursty one is new.
 func TestDiffTrafficAcrossTraces(t *testing.T) {
-	res := diffMetrics("traffic", trafficMetrics(withTrace("diurnal", 1)),
-		trafficMetrics(withTrace("bursty", 1)), DiffOptions{})
+	res := diffMetrics("traffic", trafficMetrics(withTrace("diurnal")),
+		trafficMetrics(withTrace("bursty")), DiffOptions{})
 	var got []string
 	for _, row := range res.Rows {
 		got = append(got, row.Metric+" "+row.Status)
@@ -222,34 +194,5 @@ func TestDiffTrafficAcrossTraces(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-}
-
-// TestTrendTrafficTracesNotMixed: the trend median of a scenario takes
-// only entries of its own trace, so cheaper bursty entries in the
-// history do not make a steady diurnal entry look like a regression.
-func TestTrendTrafficTracesNotMixed(t *testing.T) {
-	hist := []HistoryEntry{
-		NewTrafficHistoryEntry(withTrace("diurnal", 1), "go-test", 1),
-		NewTrafficHistoryEntry(withTrace("bursty", 0.5), "go-test", 2),
-		NewTrafficHistoryEntry(withTrace("bursty", 0.5), "go-test", 3),
-		NewTrafficHistoryEntry(withTrace("diurnal", 1), "go-test", 4),
-	}
-	res := Trend(hist, 0, DiffOptions{})
-	want := fixtureTrafficReport().Scenarios[0].EnergyPerReqJ
-	var seen bool
-	for _, row := range res.Kinds[0].Diff.Rows {
-		if strings.HasSuffix(row.Metric, "/diurnal.energy_per_req_j") && row.Status != "ok" {
-			t.Errorf("%s = %s against a median of %v", row.Metric, row.Status, row.Old)
-		}
-		if row.Metric == "c4t4g0+cacheaware/diurnal.energy_per_req_j" {
-			seen = true
-			if row.Old != want {
-				t.Errorf("diurnal median = %v, want %v (diurnal entries only)", row.Old, want)
-			}
-		}
-	}
-	if !seen {
-		t.Fatalf("no diurnal energy row in %+v", res.Kinds[0].Diff.Rows)
 	}
 }

@@ -145,7 +145,7 @@ type Manifest struct {
 
 	// SoC design-space search stats: how many core mixes fit the budget
 	// and were evaluated vs rejected by the footprint sum alone. Zero
-	// (and omitted) when no SoC search ran.
+	// (and omitted) when no SoC search evaluated a point in this process.
 	SoCConfigsEvaluated  uint64 `json:"soc_configs_evaluated,omitempty"`
 	SoCConfigsOverBudget uint64 `json:"soc_configs_over_budget,omitempty"`
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # ci.sh - the full local gate: formatting, vet, build, race-enabled tests,
-# and the cross-run regression diff against the committed sim-rate baseline.
+# and the cross-run regression diffs against the committed baselines.
 # Run from the repository root: ./scripts/ci.sh
 set -eu
 
@@ -69,11 +69,7 @@ echo "== regression gate (hetcore diff) =="
 # timing, so only a >75% slowdown fails — catching pathological
 # regressions without flaking on machine-to-machine variance.
 go build -o "$tmp/hetcore" ./cmd/hetcore
-# Seed the trend history from the committed baseline so the bench
-# measurement below also lands a history entry for the trend gate.
-cp scripts/baseline/BENCH_history.jsonl "$tmp/BENCH_history.jsonl"
-"$tmp/hetcore" bench -instr 300000 -o "$tmp/BENCH_sim_rate.json" \
-    -history "$tmp/BENCH_history.jsonl" >/dev/null
+"$tmp/hetcore" bench -instr 300000 -o "$tmp/BENCH_sim_rate.json" >/dev/null
 "$tmp/hetcore" diff -rate-tol 75 scripts/baseline/BENCH_sim_rate.json "$tmp/BENCH_sim_rate.json"
 
 echo "== hotspots gate (hetcore hotspots) =="
@@ -148,6 +144,18 @@ if ! grep -q '"runs": 292,' "$tmp/all-cold.json"; then
     grep '"runs": [0-9]' "$tmp/all-cold.json" >&2
     exit 1
 fi
+# The exact deterministic counters, the same at any -jobs width: the
+# instructions the pre-pass synthesized and replayed, and the SoC mixes
+# in and over budget, counted once although three searches read them.
+# Each value must end its line, so a longer number does not match.
+for want in '"trace.insts_synthesized": 19450467' '"trace.insts_replayed": 111837184' \
+    '"soc_configs_evaluated": 913' '"soc_configs_over_budget": 1407'; do
+    if ! grep -qE "$want,?\$" "$tmp/all-cold.json"; then
+        echo "cold hetcore all report does not read $want:" >&2
+        grep '"trace\.insts_\|"soc_configs_' "$tmp/all-cold.json" >&2
+        exit 1
+    fi
+done
 # A report diffed against itself at zero tolerance must pass, and must
 # print the same table every time (a warm report has no run records, so
 # the cold one is used).
@@ -276,7 +284,8 @@ soc_run() {
     "$tmp/hetcore" soc -workloads fft,radix -instr 40000 "$@" >"$out"
 }
 
-soc_run "$tmp/soc-jobs1.txt" -jobs 1 -cache-dir "$tmp/soc-cache"
+soc_run "$tmp/soc-jobs1.txt" -jobs 1 -cache-dir "$tmp/soc-cache" \
+    -metrics-out "$tmp/soc-cold.json"
 soc_run "$tmp/soc-jobs8.txt" -jobs 8 -cache-dir "$tmp/soc-cache" \
     -metrics-out "$tmp/soc-rerun.json"
 cmp "$tmp/soc-jobs1.txt" "$tmp/soc-jobs8.txt" || {
@@ -288,8 +297,18 @@ if ! grep -q '"engine_jobs_run": 0' "$tmp/soc-rerun.json"; then
     grep '"engine_' "$tmp/soc-rerun.json" >&2
     exit 1
 fi
-if ! grep -q '"soc_configs_evaluated"' "$tmp/soc-rerun.json"; then
-    echo "soc manifest counters missing from the report" >&2
+# The budget counters count each mix once, in the search that evaluated
+# it; a rerun served from the cache evaluates none.
+for want in '"soc_configs_evaluated": 913' '"soc_configs_over_budget": 1407'; do
+    if ! grep -qE "$want,?\$" "$tmp/soc-cold.json"; then
+        echo "cold soc search report does not read $want:" >&2
+        grep '"soc_configs_' "$tmp/soc-cold.json" >&2
+        exit 1
+    fi
+done
+if grep -q '"soc_configs_evaluated"' "$tmp/soc-rerun.json"; then
+    echo "cached soc rerun still counted evaluated mixes:" >&2
+    grep '"soc_configs_' "$tmp/soc-rerun.json" >&2
     exit 1
 fi
 # A search served wholly from the cache adds no summary record.
@@ -335,13 +354,12 @@ if ! grep -q 'TFET accelerator mix' "$tmp/accel-jobs1.txt"; then
     exit 1
 fi
 
-echo "== traffic gate (determinism + cached rerun + energy trend) =="
+echo "== traffic gate (determinism + cached rerun + baseline diff) =="
 # The traffic scenario matrix rides the same engine contract: -jobs
 # widths must render byte-identical tables and reports, and a second run
-# against the same -cache-dir must simulate nothing. The second run also
-# appends its hetcore.traffic/v1 report to the trend history, so the
-# energy-per-request accounting is gated against the committed baseline
-# by the trend step below.
+# against the same -cache-dir must simulate nothing. The simulation is
+# deterministic, so the report must also match the committed baseline
+# exactly: energy per request, latency quantiles and SLO accounting.
 traffic_run() {
     # $1: output file, extra args follow.
     out=$1; shift
@@ -351,11 +369,10 @@ traffic_run() {
 traffic_run "$tmp/traffic-jobs1.txt" -jobs 1 -cache-dir "$tmp/traffic-cache" \
     -o "$tmp/traffic-report1.json"
 traffic_run "$tmp/traffic-jobs8.txt" -jobs 8 -cache-dir "$tmp/traffic-cache" \
-    -o "$tmp/traffic-report2.json" -metrics-out "$tmp/traffic-rerun.json" \
-    -history "$tmp/BENCH_history.jsonl"
-# The stdout tables differ only in the trailing wrote/appended lines.
-grep -v '^wrote \|^appended ' "$tmp/traffic-jobs1.txt" >"$tmp/traffic-jobs1.tbl"
-grep -v '^wrote \|^appended ' "$tmp/traffic-jobs8.txt" >"$tmp/traffic-jobs8.tbl"
+    -o "$tmp/traffic-report2.json" -metrics-out "$tmp/traffic-rerun.json"
+# The stdout tables differ only in the trailing wrote line.
+grep -v '^wrote ' "$tmp/traffic-jobs1.txt" >"$tmp/traffic-jobs1.tbl"
+grep -v '^wrote ' "$tmp/traffic-jobs8.txt" >"$tmp/traffic-jobs8.tbl"
 cmp "$tmp/traffic-jobs1.tbl" "$tmp/traffic-jobs8.tbl" || {
     echo "traffic table differs between -jobs=1 and -jobs=8" >&2
     exit 1
@@ -373,27 +390,21 @@ if ! grep -q '"schema": "hetcore.traffic/v1"' "$tmp/traffic-report1.json"; then
     echo "traffic report missing its schema stamp" >&2
     exit 1
 fi
+"$tmp/hetcore" diff -tol 0 -rate-tol 0 scripts/baseline/BENCH_traffic.json "$tmp/traffic-report1.json"
 
 echo "== load gate (hetcore load p99 vs baseline) =="
 # Drive a short closed-loop job stream at the live daemon and gate the
-# client-observed serving latency. With -rate-tol 400 the gate trips
+# client-observed serving latency. The baseline is a measured run with
+# these flags against a fresh daemon. With -rate-tol 400 the gate trips
 # only when a latency quantile exceeds 5x the committed baseline (or
 # any request errors against the zero-error baseline) — catching
 # serialization bugs and accidental hot-path sleeps without flaking on
 # host speed.
 "$tmp/hetcore" load -addr "$addr" -duration 2s -concurrency 4 -cold 0.2 \
-    -o "$tmp/BENCH_load.json" -history "$tmp/BENCH_history.jsonl" >/dev/null
+    -o "$tmp/BENCH_load.json" >/dev/null
 "$tmp/hetcore" diff -rate-tol 400 scripts/baseline/BENCH_load.json "$tmp/BENCH_load.json"
 
 kill "$served_pid" 2>/dev/null
 served_pid=""
-
-echo "== trend gate (hetcore trend) =="
-# The history now holds the committed baseline entries plus this run's
-# bench, load and traffic measurements; the newest entry of each kind must not
-# regress against the median of its predecessors. Deterministic counts
-# stay exact; host-timing rates share the load gate's loose 400%
-# tolerance so the gate proves the trend pipeline without host flake.
-"$tmp/hetcore" trend -history "$tmp/BENCH_history.jsonl" -rate-tol 400
 
 echo "CI OK"
