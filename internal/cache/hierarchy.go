@@ -33,16 +33,12 @@ type Config struct {
 	// L3 is shared; L3SizePerCore scales with the core count.
 	L3SizePerCore, L3Ways, L3RT int
 
-	DRAMRoundTripNS float64
-	// DRAMFixedCycles, when positive, overrides the nanosecond-based
-	// DRAM latency with a fixed cycle count regardless of clock. The
-	// paper's simulator configures memory latency in cycles, so its
-	// half-frequency BaseTFET still pays the same cycle count; set this
-	// to reproduce that behaviour (100 cycles = 50 ns at the 2 GHz
-	// reference clock).
-	DRAMFixedCycles int
-	RingHopLat      int
-	FreqGHz         float64
+	// DRAMCycles is the DRAM round trip in core cycles, whatever the
+	// clock. The paper's simulator configures memory latency in cycles,
+	// so its half-frequency BaseTFET pays the same cycle count as
+	// BaseCMOS (100 cycles = 50 ns at the 2 GHz reference clock).
+	DRAMCycles int
+	RingHopLat int
 
 	// NextLinePrefetch enables a simple next-line prefetcher: a demand
 	// miss in the L2 also pulls the following line into the L2 in the
@@ -60,8 +56,8 @@ func (c Config) Validate() error {
 	if c.LineSize <= 0 {
 		return fmt.Errorf("cache: bad line size %d", c.LineSize)
 	}
-	if c.FreqGHz <= 0 {
-		return fmt.Errorf("cache: bad frequency %v", c.FreqGHz)
+	if c.DRAMCycles <= 0 {
+		return fmt.Errorf("cache: non-positive DRAM round trip %d cycles", c.DRAMCycles)
 	}
 	if c.AsymDL1 && (c.FastSize <= 0 || c.FastSize >= c.DL1Size || c.DL1Ways < 2) {
 		return fmt.Errorf("cache: bad asymmetric DL1 geometry (fast %d of %d, %d ways)",
@@ -83,9 +79,9 @@ type Hierarchy struct {
 	l3   *Cache
 	dir  *Directory
 	ring *Ring
-	dram *DRAM
 
-	prefetches uint64
+	dramAccesses uint64 // reads and writebacks, for the energy model
+	prefetches   uint64
 }
 
 // NewHierarchy builds the hierarchy for the configuration.
@@ -125,9 +121,6 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	if h.ring, err = NewRing(cfg.Cores, cfg.RingHopLat); err != nil {
-		return nil, err
-	}
-	if h.dram, err = NewDRAM(cfg.DRAMRoundTripNS); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -271,16 +264,12 @@ func (h *Hierarchy) beyondL1Inner(core int, addr uint64, isWrite, allowPrefetch 
 			h.invalidatePrivate(c, l3res.EvictedAddr)
 		}
 		if l3res.EvictedDirty {
-			h.dram.Accesses++ // writeback to memory, off critical path
+			h.dramAccesses++ // writeback to memory, off critical path
 		}
 	}
 	if !l3res.Hit {
-		if h.cfg.DRAMFixedCycles > 0 {
-			h.dram.Accesses++
-			lat += h.cfg.DRAMFixedCycles
-		} else {
-			lat += h.dram.LatencyCycles(h.cfg.FreqGHz)
-		}
+		h.dramAccesses++
+		lat += h.cfg.DRAMCycles
 	}
 
 	// Next-line prefetch: pull the following line into this core's L2 in
@@ -424,7 +413,7 @@ func (h *Hierarchy) Counts() Counts {
 	add(&out.L3, h.l3.Stats())
 	out.RingMessages = h.ring.Messages
 	out.RingHops = h.ring.HopsTotal
-	out.DRAMAccesses = h.dram.Accesses
+	out.DRAMAccesses = h.dramAccesses
 	out.Prefetches = h.prefetches
 	out.Directory = h.dir.Stats()
 	return out

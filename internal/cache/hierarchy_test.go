@@ -2,7 +2,8 @@ package cache
 
 import "testing"
 
-// testConfig mirrors Table III's BaseCMOS hierarchy at 2 GHz.
+// testConfig mirrors Table III's BaseCMOS hierarchy (DRAM: 50 ns at
+// 2 GHz).
 func testConfig(cores int) Config {
 	return Config{
 		Cores: cores, LineSize: 64,
@@ -10,7 +11,7 @@ func testConfig(cores int) Config {
 		DL1Size: 32 * 1024, DL1Ways: 8, DL1RT: 2,
 		L2Size: 256 * 1024, L2Ways: 8, L2RT: 8,
 		L3SizePerCore: 2 * 1024 * 1024, L3Ways: 16, L3RT: 32,
-		DRAMRoundTripNS: 50, RingHopLat: 2, FreqGHz: 2,
+		DRAMCycles: 100, RingHopLat: 2,
 	}
 }
 
@@ -28,10 +29,12 @@ func TestHierarchyValidation(t *testing.T) {
 	if _, err := NewHierarchy(bad); err == nil {
 		t.Error("zero cores accepted")
 	}
-	bad = testConfig(1)
-	bad.FreqGHz = 0
-	if _, err := NewHierarchy(bad); err == nil {
-		t.Error("zero frequency accepted")
+	for _, c := range []int{0, -100} {
+		bad = testConfig(1)
+		bad.DRAMCycles = c
+		if _, err := NewHierarchy(bad); err == nil {
+			t.Errorf("DRAM round trip of %d cycles accepted", c)
+		}
 	}
 	bad = testConfig(1)
 	bad.AsymDL1 = true // missing fast geometry
@@ -199,25 +202,6 @@ func TestRingHopsPanics(t *testing.T) {
 		}
 	}()
 	r.Hops(0, 9)
-}
-
-func TestDRAM(t *testing.T) {
-	d, err := NewDRAM(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := d.LatencyCycles(2.0); l != 100 {
-		t.Errorf("DRAM at 2GHz = %d cycles, want 100", l)
-	}
-	if l := d.LatencyCycles(1.0); l != 50 {
-		t.Errorf("DRAM at 1GHz = %d cycles, want 50", l)
-	}
-	if d.Accesses != 2 {
-		t.Errorf("accesses = %d", d.Accesses)
-	}
-	if _, err := NewDRAM(0); err == nil {
-		t.Error("zero RT accepted")
-	}
 }
 
 func TestDirectoryBasics(t *testing.T) {

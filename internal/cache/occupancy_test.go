@@ -75,7 +75,7 @@ func TestHierarchyOccupancyMeanInvariant(t *testing.T) {
 		DL1Size: 4096, DL1Ways: 4, DL1RT: 2,
 		L2Size: 16384, L2Ways: 4, L2RT: 8,
 		L3SizePerCore: 32768, L3Ways: 8, L3RT: 32,
-		DRAMRoundTripNS: 50, RingHopLat: 1, FreqGHz: 2,
+		DRAMCycles: 100, RingHopLat: 1,
 	}
 	h, err := NewHierarchy(cfg)
 	if err != nil {

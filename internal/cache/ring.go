@@ -54,27 +54,3 @@ func (r *Ring) Traverse(from, to int) int {
 func (r *Ring) SliceFor(lineAddr uint64) int {
 	return int(lineAddr % uint64(r.nodes))
 }
-
-// DRAM models main memory with a fixed round-trip time expressed in
-// nanoseconds (Table III: 50 ns), converted to core cycles at the
-// simulated clock.
-type DRAM struct {
-	roundTripNS float64
-	// Accesses counts DRAM reads+writes for the energy model.
-	Accesses uint64
-}
-
-// NewDRAM builds a DRAM with the given round-trip in nanoseconds.
-func NewDRAM(roundTripNS float64) (*DRAM, error) {
-	if roundTripNS <= 0 {
-		return nil, fmt.Errorf("cache: non-positive DRAM round trip %v", roundTripNS)
-	}
-	return &DRAM{roundTripNS: roundTripNS}, nil
-}
-
-// LatencyCycles returns the DRAM round trip in cycles at freqGHz, and
-// records the access.
-func (d *DRAM) LatencyCycles(freqGHz float64) int {
-	d.Accesses++
-	return int(d.roundTripNS*freqGHz + 0.5)
-}

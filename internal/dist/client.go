@@ -1,13 +1,8 @@
 package dist
 
 import (
-	"bytes"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -19,55 +14,29 @@ import (
 	"hetcore/internal/obs"
 )
 
-// PoolConfig tunes the remote executor. The zero value gives sensible
-// defaults.
-type PoolConfig struct {
-	// SlotsPerWorker is the number of jobs in flight per worker —
-	// the remote lanes each daemon contributes (default 4).
-	SlotsPerWorker int
-	// Timeout bounds one job attempt end to end (default 5m; a
-	// simulation that exceeds it is retried, then falls back local).
-	Timeout time.Duration
-	// HealthTimeout bounds a health probe (default 2s).
-	HealthTimeout time.Duration
-	// Retries is how many extra attempts a job gets after its first
-	// failed one (default 2), with exponential backoff in between.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per retry
-	// (default 250ms).
-	Backoff time.Duration
-	// Obs receives the dist.* counters, per-worker fleet metrics and
-	// remote-lane trace slices (including each worker's server-side
-	// phase spans).
-	Obs *obs.Observer
-	// Logf logs worker evictions and startup warnings (default stderr).
-	Logf func(format string, args ...any)
-}
+// The pool's fixed tuning.
+const (
+	// slotsPerWorker is the number of jobs in flight per worker: the
+	// remote lanes each daemon contributes.
+	slotsPerWorker = 4
+	// jobTimeout bounds one job attempt end to end; a simulation that
+	// exceeds it is retried, then falls back local.
+	jobTimeout = 5 * time.Minute
+	// healthTimeout bounds a health probe.
+	healthTimeout = 2 * time.Second
+	// jobRetries is how many extra attempts a job gets after its first
+	// failed one, with exponential backoff in between.
+	jobRetries = 2
+)
 
-func (c PoolConfig) withDefaults() PoolConfig {
-	if c.SlotsPerWorker <= 0 {
-		c.SlotsPerWorker = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Minute
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 250 * time.Millisecond
-	}
-	if c.Logf == nil {
-		c.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	return c
+// retryBackoff is the delay before a job's first retry, doubling per
+// retry. A variable so tests can shorten it.
+var retryBackoff = 250 * time.Millisecond
+
+// logf logs worker evictions and startup warnings. A variable so tests
+// can silence it.
+var logf = func(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
 // worker is one hetserved daemon. Metric names use the stable worker
@@ -97,64 +66,42 @@ type worker struct {
 // per worker, with queue/cache/execute/encode child spans under each
 // remote job.
 type Pool struct {
-	cfg     PoolConfig
 	o       *obs.Observer
 	workers []*worker
 	slots   chan int
-	client  *http.Client
+	jobs    *jobClient
 	probe   *http.Client
 	rr      atomic.Uint64
 	start   time.Time
-
-	traceID string
-	spanSeq atomic.Uint64
 
 	traceOnce sync.Once
 	tracePID  int64
 }
 
-// errUnresolvable marks a daemon's 422: the key cannot run remotely, so
-// retrying or evicting is pointless — fall back to local execution.
-var errUnresolvable = errors.New("dist: worker cannot resolve key")
-
-// newTraceID returns a random 16-hex-digit trace identifier.
-func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "trace-fallback"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // NewPool builds a remote executor over the given worker addresses
-// ("host:port" or full http:// URLs). Every worker is health-probed up
+// ("host:port" or full http:// URLs). o receives the dist.* counters,
+// per-worker fleet metrics and remote-lane trace slices (including each
+// worker's server-side phase spans). Every worker is health-probed up
 // front; unreachable or version-mismatched ones start evicted, with a
 // warning. An empty address list is an error, but a pool whose workers
 // are all dead is not — it simply declines every job.
-func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
+func NewPool(addrs []string, o *obs.Observer) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("dist: no remote workers given")
 	}
-	cfg = cfg.withDefaults()
 	p := &Pool{
-		cfg:     cfg,
-		o:       cfg.Obs,
-		client:  &http.Client{Timeout: cfg.Timeout},
-		probe:   &http.Client{Timeout: cfg.HealthTimeout},
-		start:   time.Now(),
-		traceID: newTraceID(),
+		o:     o,
+		jobs:  newJobClient(jobTimeout),
+		probe: &http.Client{Timeout: healthTimeout},
+		start: time.Now(),
 	}
 	for _, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
+		if strings.TrimSpace(a) == "" {
 			continue
 		}
-		if !strings.Contains(a, "://") {
-			a = "http://" + a
-		}
-		w := &worker{base: strings.TrimRight(a, "/"), idx: len(p.workers)}
-		if err := p.checkWorker(w); err != nil {
-			cfg.Logf("dist: worker %s unhealthy at startup, evicted: %v", w.base, err)
+		w := &worker{base: baseURL(a), idx: len(p.workers)}
+		if err := checkHealth(p.probe, w.base); err != nil {
+			logf("dist: worker %s unhealthy at startup, evicted: %v", w.base, err)
 			p.count("dist.workers_evicted")
 			p.count(p.workerMetric(w, "evictions"))
 		} else {
@@ -166,10 +113,10 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 		return nil, errors.New("dist: no remote workers given")
 	}
 	if p.Healthy() == 0 {
-		cfg.Logf("dist: all %d remote workers unhealthy; jobs will run locally", len(p.workers))
+		logf("dist: all %d remote workers unhealthy; jobs will run locally", len(p.workers))
 	}
 	p.setHealthyGauge()
-	p.slots = make(chan int, len(p.workers)*cfg.SlotsPerWorker)
+	p.slots = make(chan int, len(p.workers)*slotsPerWorker)
 	for i := 0; i < cap(p.slots); i++ {
 		p.slots <- i
 	}
@@ -177,7 +124,7 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 }
 
 // Capacity returns how many jobs the pool runs remotely at once: its
-// slots, SlotsPerWorker for each worker. The engine's RunAll adds it to
+// slots, slotsPerWorker for each worker. The engine's RunAll adds it to
 // the local lanes so every slot can be busy.
 func (p *Pool) Capacity() int { return cap(p.slots) }
 
@@ -215,40 +162,16 @@ func (p *Pool) setHealthyGauge() {
 	}
 }
 
-// checkWorker probes a worker's health endpoint and verifies the
-// version stamp.
-func (p *Pool) checkWorker(w *worker) error {
-	resp, err := p.probe.Get(w.base + PathHealth)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("health: HTTP %d", resp.StatusCode)
-	}
-	var h HealthResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJobRequestBytes)).Decode(&h); err != nil {
-		return fmt.Errorf("health: %w", err)
-	}
-	if !h.OK {
-		return errors.New("health: not ok")
-	}
-	if h.Stamp != Stamp() {
-		return fmt.Errorf("version stamp %q != ours %q (rebuild or restart the worker)", h.Stamp, Stamp())
-	}
-	return nil
-}
-
 // evictIfDead re-probes a worker that just failed a job and evicts it
 // when the probe fails too — a single lost request keeps the worker, a
 // dead or mismatched daemon is dropped for the rest of the run.
 func (p *Pool) evictIfDead(w *worker) {
-	if err := p.checkWorker(w); err != nil {
+	if err := checkHealth(p.probe, w.base); err != nil {
 		if w.healthy.CompareAndSwap(true, false) {
 			p.count("dist.workers_evicted")
 			p.count(p.workerMetric(w, "evictions"))
 			p.setHealthyGauge()
-			p.cfg.Logf("dist: evicting worker %s: %v", w.base, err)
+			logf("dist: evicting worker %s: %v", w.base, err)
 		}
 	}
 }
@@ -279,8 +202,8 @@ func (p *Pool) Execute(k engine.Key) (any, bool, error) {
 	}
 	defer func() { p.slots <- slot }()
 
-	backoff := p.cfg.Backoff
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
+	backoff := retryBackoff
+	for attempt := 0; attempt <= jobRetries; attempt++ {
 		if attempt > 0 {
 			p.count("dist.retries")
 			time.Sleep(backoff)
@@ -291,7 +214,7 @@ func (p *Pool) Execute(k engine.Key) (any, bool, error) {
 			break
 		}
 		wallStart := time.Now()
-		resp, err := p.post(w, k)
+		resp, err := p.jobs.post(w.base, k)
 		latencyMS := float64(time.Since(wallStart).Nanoseconds()) / 1e6
 		if err != nil {
 			if errors.Is(err, errUnresolvable) {
@@ -299,7 +222,7 @@ func (p *Pool) Execute(k engine.Key) (any, bool, error) {
 			}
 			p.count("dist.remote_failures")
 			p.count(p.workerMetric(w, "failures"))
-			if attempt < p.cfg.Retries {
+			if attempt < jobRetries {
 				p.count(p.workerMetric(w, "retries"))
 			}
 			p.evictIfDead(w)
@@ -349,37 +272,6 @@ func (p *Pool) recordSuccess(w *worker, latencyMS float64, resp JobResponse) {
 	}
 }
 
-// post runs one job attempt against one worker, stamped with the pool's
-// trace context.
-func (p *Pool) post(w *worker, k engine.Key) (JobResponse, error) {
-	req := JobRequest{
-		Key:            k,
-		TraceID:        p.traceID,
-		SpanID:         fmt.Sprintf("%s-%04x", p.traceID, p.spanSeq.Add(1)),
-		SubmitUnixNano: time.Now().UnixNano(),
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return JobResponse{}, err
-	}
-	resp, err := p.client.Post(w.base+PathJobs, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return JobResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusUnprocessableEntity {
-		return JobResponse{}, errUnresolvable
-	}
-	if resp.StatusCode != http.StatusOK {
-		return JobResponse{}, fmt.Errorf("dist: %s: HTTP %d", w.base, resp.StatusCode)
-	}
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return JobResponse{}, fmt.Errorf("dist: %s: decoding response: %w", w.base, err)
-	}
-	return jr, nil
-}
-
 // traceRemote emits one slice per remote job on the dist process
 // timeline, one thread per remote lane — the remote mirror of the
 // engine's per-lane slices. When the response carries a server timing
@@ -401,7 +293,7 @@ func (p *Pool) traceRemote(slot int, k engine.Key, w *worker, wallStart time.Tim
 	})
 	startUS := float64(wallStart.Sub(p.start).Nanoseconds()) / 1e3
 	durUS := float64(time.Since(wallStart).Nanoseconds()) / 1e3
-	args := map[string]any{"worker": w.base, "trace": p.traceID}
+	args := map[string]any{"worker": w.base, "trace": p.jobs.traceID}
 	if resp.SpanID != "" {
 		args["span"] = resp.SpanID
 	}

@@ -231,13 +231,11 @@ func startDaemon(t *testing.T, cfg DaemonConfig) *Daemon {
 	return d
 }
 
-// testPoolConfig keeps retry delays negligible in tests.
-func testPoolConfig() PoolConfig {
-	return PoolConfig{
-		Timeout: 30 * time.Second, HealthTimeout: time.Second,
-		Retries: 2, Backoff: time.Millisecond,
-		Logf: func(string, ...any) {},
-	}
+// TestMain keeps retry delays negligible and the pool's log quiet.
+func TestMain(m *testing.M) {
+	retryBackoff = time.Millisecond
+	logf = func(string, ...any) {}
+	os.Exit(m.Run())
 }
 
 // TestDaemonHTTP covers the wire protocol's failure surface directly.
@@ -339,7 +337,7 @@ func TestDaemonHTTP(t *testing.T) {
 // job, not a local run.
 func TestPoolAgainstDaemon(t *testing.T) {
 	d := startDaemon(t, DaemonConfig{Jobs: 2})
-	p, err := NewPool([]string{d.Addr()}, testPoolConfig())
+	p, err := NewPool([]string{d.Addr()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +381,7 @@ func TestPoolAgainstDaemon(t *testing.T) {
 // locally — the dead-fleet degradation contract.
 func TestPoolFallbackOnDeadDaemon(t *testing.T) {
 	d := startDaemon(t, DaemonConfig{Jobs: 1})
-	p, err := NewPool([]string{d.Addr()}, testPoolConfig())
+	p, err := NewPool([]string{d.Addr()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +423,7 @@ func TestPoolTruncatedResponse(t *testing.T) {
 	defer srv.Close()
 
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	cfg := testPoolConfig()
-	cfg.Obs = o
-	p, err := NewPool([]string{srv.Listener.Addr().String()}, cfg)
+	p, err := NewPool([]string{srv.Listener.Addr().String()}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +449,7 @@ func TestPoolStampMismatch(t *testing.T) {
 		w.Write(health) //nolint:errcheck
 	}))
 	defer srv.Close()
-	p, err := NewPool([]string{srv.Listener.Addr().String()}, testPoolConfig())
+	p, err := NewPool([]string{srv.Listener.Addr().String()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +481,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			p, err := NewPool([]string{d.Addr()}, testPoolConfig())
+			p, err := NewPool([]string{d.Addr()}, nil)
 			if err != nil {
 				errs[c] = err
 				return

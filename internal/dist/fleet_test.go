@@ -25,9 +25,7 @@ func TestFleetTraceStructure(t *testing.T) {
 	d := startDaemon(t, DaemonConfig{Jobs: 2})
 
 	o := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTraceWriter()}
-	cfg := testPoolConfig()
-	cfg.Obs = o
-	p, err := NewPool([]string{d.Addr()}, cfg)
+	p, err := NewPool([]string{d.Addr()}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +68,8 @@ func TestFleetTraceStructure(t *testing.T) {
 		switch {
 		case e.Phase == "X" && e.Cat == "dist":
 			clients = append(clients, e)
-			if e.Args["trace"] != p.traceID {
-				t.Errorf("client slice trace arg = %v, want %s", e.Args["trace"], p.traceID)
+			if e.Args["trace"] != p.jobs.traceID {
+				t.Errorf("client slice trace arg = %v, want %s", e.Args["trace"], p.jobs.traceID)
 			}
 			if s, _ := e.Args["span"].(string); s == "" {
 				t.Error("client slice has no span arg")

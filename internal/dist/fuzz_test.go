@@ -127,7 +127,7 @@ func FuzzJobRequest(f *testing.F) {
 		if want := k.Variant != "cores=1"; Resolvable(k) != want {
 			f.Fatalf("seed %s: Resolvable = %v, want %v", k, !want, want)
 		}
-		body, err := json.Marshal(JobRequest{Key: k, TraceID: "t1", SpanID: "s1", SubmitUnixNano: 1})
+		body, err := json.Marshal(JobRequest{Key: k, TraceID: "t1", SpanID: "s1"})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -1,15 +1,12 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,13 +134,11 @@ func (r LoadRecord) Format(w io.Writer) error {
 
 // loadGen is the shared state of one RunLoad invocation.
 type loadGen struct {
-	cfg     LoadConfig
-	base    string
-	client  *http.Client
-	reg     *obs.Registry
-	traceID string
+	cfg  LoadConfig
+	base string
+	jobs *jobClient
+	reg  *obs.Registry
 
-	spanSeq   atomic.Uint64
 	coldBase  uint64 // this run's first cold seed, less one
 	coldSeq   atomic.Uint64
 	errs      atomic.Uint64
@@ -183,23 +178,18 @@ func RunLoad(cfg LoadConfig) (LoadRecord, error) {
 	if cfg.Addr == "" {
 		return LoadRecord{}, errors.New("dist: load: no daemon address given")
 	}
-	base := strings.TrimSpace(cfg.Addr)
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	g := &loadGen{
 		cfg:      cfg,
-		base:     strings.TrimRight(base, "/"),
-		client:   &http.Client{Timeout: cfg.Timeout},
+		base:     baseURL(cfg.Addr),
+		jobs:     newJobClient(cfg.Timeout),
 		reg:      obs.NewRegistry(),
-		traceID:  newTraceID(),
 		coldBase: newColdBase(),
 	}
 
 	// Health + stamp gate: a mismatched daemon would measure nothing
 	// meaningful.
-	if err := g.checkHealth(); err != nil {
-		return LoadRecord{}, err
+	if err := checkHealth(g.jobs.http, g.base); err != nil {
+		return LoadRecord{}, fmt.Errorf("dist: load: %s: %w", g.base, err)
 	}
 
 	// Hot working set: a handful of keys warmed before the window so a
@@ -250,29 +240,10 @@ func RunLoad(cfg LoadConfig) (LoadRecord, error) {
 	return rec, nil
 }
 
-func (g *loadGen) checkHealth() error {
-	resp, err := g.client.Get(g.base + PathHealth)
-	if err != nil {
-		return fmt.Errorf("dist: load: daemon unreachable: %w", err)
-	}
-	defer resp.Body.Close()
-	var h HealthResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJobRequestBytes)).Decode(&h); err != nil {
-		return fmt.Errorf("dist: load: health: %w", err)
-	}
-	if !h.OK {
-		return errors.New("dist: load: daemon reports not ok")
-	}
-	if h.Stamp != Stamp() {
-		return fmt.Errorf("dist: load: daemon stamp %q != ours %q", h.Stamp, Stamp())
-	}
-	return nil
-}
-
 // warm posts one key outside the measured window and fails hard on any
 // error — a broken setup must not be reported as server latency.
 func (g *loadGen) warm(k engine.Key) error {
-	resp, err := g.postJob(k)
+	resp, err := g.jobs.post(g.base, k)
 	if err != nil {
 		return fmt.Errorf("dist: load: warming %s: %w", k, err)
 	}
@@ -292,32 +263,6 @@ func (g *loadGen) coldKey() engine.Key {
 	}
 }
 
-func (g *loadGen) postJob(k engine.Key) (JobResponse, error) {
-	req := JobRequest{
-		Key:            k,
-		TraceID:        g.traceID,
-		SpanID:         fmt.Sprintf("%s-%04x", g.traceID, g.spanSeq.Add(1)),
-		SubmitUnixNano: time.Now().UnixNano(),
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return JobResponse{}, err
-	}
-	resp, err := g.client.Post(g.base+PathJobs, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return JobResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return JobResponse{}, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return JobResponse{}, err
-	}
-	return jr, nil
-}
-
 // pickKey chooses the next request's key: cold (never seen) with
 // probability ColdFraction, otherwise one of the warmed hot keys.
 func (g *loadGen) pickKey(rng *rand.Rand) engine.Key {
@@ -333,7 +278,7 @@ func (g *loadGen) pickKey(rng *rand.Rand) engine.Key {
 // have been sent: an open-loop arrival that fires late still counts the
 // time it waited, so a server that falls behind cannot hide it.
 func (g *loadGen) doOne(k engine.Key, due time.Time) {
-	resp, err := g.postJob(k)
+	resp, err := g.jobs.post(g.base, k)
 	latencyMS := float64(time.Since(due).Nanoseconds()) / 1e6
 	g.reg.Histogram("load.latency_ms", serverLatencyBuckets).Observe(latencyMS)
 	switch {

@@ -105,7 +105,7 @@ func TestDoOneTimesFromDue(t *testing.T) {
 		json.NewEncoder(w).Encode(JobResponse{Stamp: Stamp()})
 	}))
 	defer srv.Close()
-	g := &loadGen{base: srv.URL, client: srv.Client(), reg: obs.NewRegistry()}
+	g := &loadGen{base: srv.URL, jobs: &jobClient{http: srv.Client()}, reg: obs.NewRegistry()}
 	g.doOne(engine.Key{Device: "trace"}, time.Now().Add(-50*time.Millisecond))
 	h := g.reg.Snapshot().Histograms["load.latency_ms"]
 	if h.Count != 1 || h.Sum < 50 {

@@ -1,6 +1,18 @@
 package dist
 
 import (
+	"bytes"
+	"crypto/rand"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
+	"time"
+
 	"hetcore/internal/engine"
 	"hetcore/internal/obs"
 )
@@ -19,7 +31,7 @@ import (
 // Both sides carry Stamp(); a mismatch means the peers were built from
 // different code or device tables and no result may be trusted. The
 // request/response envelopes carry request-scoped trace context
-// (trace/span IDs, client submit timestamp, server timing breakdown), so
+// (trace/span IDs, server timing breakdown), so
 // a client can merge every worker's server-side phases into one
 // Chrome/Perfetto trace of the whole fleet.
 const (
@@ -37,9 +49,6 @@ type JobRequest struct {
 	// SpanID identifies this request within the trace (unique per
 	// attempt).
 	SpanID string `json:"span_id,omitempty"`
-	// SubmitUnixNano is the client-side submit timestamp, so server logs
-	// can be correlated with client timelines.
-	SubmitUnixNano int64 `json:"submit_unix_nano,omitempty"`
 }
 
 // ServerTiming is the daemon-side timing breakdown of one job request,
@@ -141,4 +150,93 @@ type StatsResponse struct {
 	// Runtime is the daemon's host resource state (heap, GC, goroutines)
 	// sampled at request time.
 	Runtime obs.RuntimeStats `json:"runtime"`
+}
+
+// The client side of the protocol, shared by Pool and RunLoad.
+
+// errUnresolvable marks a daemon's 422: the key cannot run remotely, so
+// retrying or evicting is pointless — fall back to local execution.
+var errUnresolvable = errors.New("dist: worker cannot resolve key")
+
+// baseURL normalises a daemon address ("host:port" or a full http://
+// URL) to a URL without a trailing slash.
+func baseURL(addr string) string {
+	a := strings.TrimSpace(addr)
+	if !strings.Contains(a, "://") {
+		a = "http://" + a
+	}
+	return strings.TrimRight(a, "/")
+}
+
+// checkHealth probes the daemon at base and verifies its version stamp.
+func checkHealth(c *http.Client, base string) error {
+	resp, err := c.Get(base + PathHealth)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("health: HTTP %d", resp.StatusCode)
+	}
+	var h HealthResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJobRequestBytes)).Decode(&h); err != nil {
+		return fmt.Errorf("health: %w", err)
+	}
+	if !h.OK {
+		return errors.New("health: not ok")
+	}
+	if h.Stamp != Stamp() {
+		return fmt.Errorf("version stamp %q != ours %q (rebuild or restart the worker)", h.Stamp, Stamp())
+	}
+	return nil
+}
+
+// newTraceID returns a random 16-hex-digit trace identifier.
+func newTraceID() string {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "trace-fallback"
+	}
+	return hex.EncodeToString(b[:])
+}
+
+// jobClient posts jobs under one trace ID, with a fresh span ID per
+// request.
+type jobClient struct {
+	http    *http.Client
+	traceID string
+	spanSeq atomic.Uint64
+}
+
+func newJobClient(timeout time.Duration) *jobClient {
+	return &jobClient{http: &http.Client{Timeout: timeout}, traceID: newTraceID()}
+}
+
+// post runs one job request against the daemon at base. A 422 returns
+// errUnresolvable.
+func (c *jobClient) post(base string, k engine.Key) (JobResponse, error) {
+	body, err := json.Marshal(JobRequest{
+		Key:     k,
+		TraceID: c.traceID,
+		SpanID:  fmt.Sprintf("%s-%04x", c.traceID, c.spanSeq.Add(1)),
+	})
+	if err != nil {
+		return JobResponse{}, err
+	}
+	resp, err := c.http.Post(base+PathJobs, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return JobResponse{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusUnprocessableEntity {
+		return JobResponse{}, errUnresolvable
+	}
+	if resp.StatusCode != http.StatusOK {
+		return JobResponse{}, fmt.Errorf("dist: %s: HTTP %d", base, resp.StatusCode)
+	}
+	var jr JobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		return JobResponse{}, fmt.Errorf("dist: %s: decoding response: %w", base, err)
+	}
+	return jr, nil
 }

@@ -52,15 +52,12 @@ type Config struct {
 	PartFastLat   int
 
 	// Memory system round trips in cycles: per-CU vector L1, shared L2,
-	// and DRAM in nanoseconds.
+	// and DRAM (beyond the L2), whatever the clock, as in the CPU
+	// hierarchy.
 	VL1Size, VL1Ways, VL1RT int
 	L2Size, L2Ways, L2RT    int
-	DRAMRoundTripNS         float64
-	// DRAMFixedCycles, when positive, charges DRAM in cycles regardless
-	// of clock (matching cycle-configured simulators; see the CPU
-	// hierarchy's field of the same name).
-	DRAMFixedCycles int
-	LineSize        int
+	DRAMCycles              int
+	LineSize                int
 
 	// FreqGHz is the GPU clock (1.0 for CMOS-clocked designs, 0.5 for
 	// the all-TFET BaseTFET).
@@ -76,7 +73,7 @@ func DefaultConfig() Config {
 		RFCache: true, RFCacheEntries: 6, RFCacheLat: 1,
 		VL1Size: 16 * 1024, VL1Ways: 4, VL1RT: 4,
 		L2Size: 512 * 1024, L2Ways: 16, L2RT: 20,
-		DRAMRoundTripNS: 50, DRAMFixedCycles: 50, LineSize: 64,
+		DRAMCycles: 50, LineSize: 64,
 		FreqGHz: 1.0,
 	}
 }
@@ -98,7 +95,7 @@ func (c Config) Validate() error {
 	if c.VL1Size <= 0 || c.L2Size <= 0 || c.LineSize <= 0 {
 		return fmt.Errorf("gpu: non-positive cache size")
 	}
-	if c.VL1RT <= 0 || c.L2RT <= 0 || c.DRAMRoundTripNS <= 0 {
+	if c.VL1RT <= 0 || c.L2RT <= 0 || c.DRAMCycles <= 0 {
 		return fmt.Errorf("gpu: non-positive memory latency")
 	}
 	if c.FreqGHz <= 0 {

@@ -78,7 +78,6 @@ type Device struct {
 	kern   Kernel
 	cus    []*computeUnit
 	l2     *cache.Cache
-	dram   *cache.DRAM
 	cycle  int64
 	stats  Stats
 	active int // unfinished waves
@@ -108,9 +107,6 @@ func NewDevice(cfg Config, kern Kernel, seed uint64) (*Device, error) {
 	}
 	var err error
 	if d.l2, err = cache.New("gpu-l2", cfg.L2Size, cfg.L2Ways, cfg.LineSize); err != nil {
-		return nil, err
-	}
-	if d.dram, err = cache.NewDRAM(cfg.DRAMRoundTripNS); err != nil {
 		return nil, err
 	}
 	d.cus = make([]*computeUnit, cfg.CUs)
@@ -172,7 +168,6 @@ func (d *Device) Stats() Stats {
 	l2 := d.l2.Stats()
 	s.L2Reads = l2.Accesses()
 	s.L2Misses = l2.Misses()
-	s.DRAMAccesses = d.dram.Accesses
 	return s
 }
 
@@ -487,11 +482,9 @@ func (d *Device) memAccess(cu *computeUnit, wv *wave) int64 {
 			lat = int64(d.cfg.VL1RT)
 		} else if d.l2.Access(addr, false).Hit {
 			lat = int64(d.cfg.L2RT)
-		} else if d.cfg.DRAMFixedCycles > 0 {
-			d.dram.Accesses++
-			lat = int64(d.cfg.DRAMFixedCycles) + int64(d.cfg.L2RT)
 		} else {
-			lat = int64(d.dram.LatencyCycles(d.cfg.FreqGHz)) + int64(d.cfg.L2RT)
+			d.stats.DRAMAccesses++
+			lat = int64(d.cfg.DRAMCycles) + int64(d.cfg.L2RT)
 		}
 		lat += int64(i) // pipelined issue of divergent accesses
 		if lat > worst {

@@ -33,6 +33,13 @@ func TestConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero frequency accepted")
 	}
+	for _, c := range []int{0, -50} {
+		bad = DefaultConfig()
+		bad.DRAMCycles = c
+		if bad.Validate() == nil {
+			t.Errorf("DRAM round trip of %d cycles accepted", c)
+		}
+	}
 }
 
 func TestKernelSuite(t *testing.T) {

@@ -77,7 +77,7 @@ func NewEngine(jobs int, cacheDir string, remote []string, o *obs.Observer) (*en
 		eng.SetCache(c)
 	}
 	if len(remote) > 0 {
-		p, err := dist.NewPool(remote, dist.PoolConfig{Obs: o})
+		p, err := dist.NewPool(remote, o)
 		if err != nil {
 			return nil, fmt.Errorf("harness: -remote: %w", err)
 		}
@@ -433,7 +433,8 @@ func Fig14(opts Options) (Table, error) {
 	configs := []string{"BaseCMOS", "AdvHet"}
 
 	// A DVFS or guardband point changes only the clock and the energy
-	// scales, so every point is a priced view of the stock fig7 runs.
+	// scales, so every point is a view of the stock fig7 runs: priced,
+	// or the run itself at the nominal point.
 	var views []hetsim.CPUView
 	for _, pt := range points {
 		for _, cn := range configs {
@@ -442,10 +443,9 @@ func Fig14(opts Options) (Table, error) {
 				return Table{}, err
 			}
 			cfg.Core.FreqGHz = pt.freq
-			cfg.Hier.FreqGHz = pt.freq
+			cfg = cfg.Adjusted(pt.cmosAdj, pt.tfetAdj)
 			for _, p := range profiles {
-				views = append(views, hetsim.CPUView{Config: cfg, Profile: p,
-					CMOSAdj: pt.cmosAdj, TFETAdj: pt.tfetAdj})
+				views = append(views, hetsim.CPUView{Config: cfg, Profile: p})
 			}
 		}
 	}

@@ -140,7 +140,7 @@ func TableIII() Table {
 			{Label: "DL1 size (KB) / RT CMOS/TFET", Values: []float64{float64(h.DL1Size) / 1024, float64(h.DL1RT), float64(th.DL1RT)}},
 			{Label: "L2 size (KB) / RT CMOS/TFET", Values: []float64{float64(h.L2Size) / 1024, float64(h.L2RT), float64(th.L2RT)}},
 			{Label: "L3 per core (MB) / RT CMOS/TFET", Values: []float64{float64(h.L3SizePerCore) / (1024 * 1024), float64(h.L3RT), float64(th.L3RT)}},
-			{Label: "DRAM round trip (ns)", Values: []float64{h.DRAMRoundTripNS}},
+			{Label: "DRAM round trip (ns)", Values: []float64{float64(h.DRAMCycles) / cpuCfg.FreqGHz()}},
 			{Label: "GPU CUs / EUs per CU", Values: []float64{float64(gpuCfg.Dev.CUs), float64(gpuCfg.Dev.EUsPerCU)}},
 			{Label: "GPU frequency (GHz)", Values: []float64{gpuCfg.Dev.FreqGHz}},
 			{Label: "FMA latency CMOS/TFET (cyc)", Values: []float64{float64(gpuCfg.Dev.FMALat), float64(gpuHet.Dev.FMALat)}},

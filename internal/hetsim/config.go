@@ -34,15 +34,14 @@ type CPUConfig struct {
 func (c CPUConfig) FreqGHz() float64 { return c.Core.FreqGHz }
 
 // baseHier returns Table III's hierarchy with CMOS round trips.
-func baseHier(cores int, freqGHz float64) cache.Config {
+func baseHier(cores int) cache.Config {
 	return cache.Config{
 		Cores: cores, LineSize: 64,
 		IL1Size: 32 * 1024, IL1Ways: 2, IL1RT: 2,
 		DL1Size: 32 * 1024, DL1Ways: 8, DL1RT: 2,
 		L2Size: 256 * 1024, L2Ways: 8, L2RT: 8,
 		L3SizePerCore: 2 * 1024 * 1024, L3Ways: 16, L3RT: 32,
-		DRAMRoundTripNS: 50, DRAMFixedCycles: 100,
-		RingHopLat: 2, FreqGHz: freqGHz,
+		DRAMCycles: 100, RingHopLat: 2,
 		NextLinePrefetch: true,
 	}
 }
@@ -157,7 +156,7 @@ func buildCPUConfigs() []CPUConfig {
 	base := cpu.DefaultConfig()
 	out = append(out, CPUConfig{
 		Name: "BaseCMOS", Notes: "All-CMOS core", Cores: 4,
-		Core: base, Hier: baseHier(4, base.FreqGHz),
+		Core: base, Hier: baseHier(4),
 		Assign: energy.AllCMOSAssign(),
 	})
 
@@ -167,7 +166,7 @@ func buildCPUConfigs() []CPUConfig {
 	out = append(out, CPUConfig{
 		Name:  "BaseCMOS-Enh",
 		Notes: "BaseCMOS + larger ROB(160→192) & FP-RF(80→128) + CMOS asymm. DL1",
-		Cores: 4, Core: enh, Hier: asymDL1(baseHier(4, enh.FreqGHz), 3),
+		Cores: 4, Core: enh, Hier: asymDL1(baseHier(4), 3),
 		Assign: func() energy.CPUAssign {
 			a := energy.AllCMOSAssign()
 			a.DL1Fast = energy.CMOSScale()
@@ -181,7 +180,7 @@ func buildCPUConfigs() []CPUConfig {
 	tfetCore.FreqGHz = 1.0
 	out = append(out, CPUConfig{
 		Name: "BaseTFET", Notes: "All-TFET core at 1 GHz", Cores: 4,
-		Core: tfetCore, Hier: baseHier(4, 1.0),
+		Core: tfetCore, Hier: baseHier(4),
 		Assign: allTFETAssign(),
 	})
 
@@ -190,13 +189,13 @@ func buildCPUConfigs() []CPUConfig {
 	het.IntLat, het.FPLat = cpu.TFETLatencies(), cpu.TFETLatencies()
 	out = append(out, CPUConfig{
 		Name: "BaseHet", Notes: "BaseCMOS + FPUs, ALUs, DL1, L2, L3 in TFET",
-		Cores: 4, Core: het, Hier: tfetCaches(baseHier(4, het.FreqGHz)),
+		Cores: 4, Core: het, Hier: tfetCaches(baseHier(4)),
 		Assign: assignBaseHet(),
 	})
 
 	// AdvHet: BaseHet + larger windows + dual-speed ALU + asymm. DL1.
 	adv := dualSpeed(enhance(het))
-	advHier := asymDL1(tfetCaches(baseHier(4, adv.FreqGHz)), 5)
+	advHier := asymDL1(tfetCaches(baseHier(4)), 5)
 	out = append(out, CPUConfig{
 		Name:  "AdvHet",
 		Notes: "BaseHet + larger ROB & FP-RF + dual-speed ALU + asymm. DL1",
@@ -205,7 +204,7 @@ func buildCPUConfigs() []CPUConfig {
 
 	// BaseL3: BaseCMOS + larger windows + TFET L3.
 	l3Core := enhance(base)
-	l3Hier := baseHier(4, l3Core.FreqGHz)
+	l3Hier := baseHier(4)
 	l3Hier.L3RT = 40
 	out = append(out, CPUConfig{
 		Name: "BaseL3", Notes: "BaseCMOS + larger ROB & FP-RF + L3 in TFET",
@@ -222,7 +221,7 @@ func buildCPUConfigs() []CPUConfig {
 	hv.IntLat, hv.FPLat = cpu.HighVtLatencies(), cpu.HighVtLatencies()
 	out = append(out, CPUConfig{
 		Name: "BaseHighVt", Notes: "BaseCMOS + high-Vt FPUs & ALUs",
-		Cores: 4, Core: hv, Hier: baseHier(4, hv.FreqGHz),
+		Cores: 4, Core: hv, Hier: baseHier(4),
 		Assign: func() energy.CPUAssign {
 			a := energy.AllCMOSAssign()
 			h := energy.HighVtScale()
@@ -238,7 +237,7 @@ func buildCPUConfigs() []CPUConfig {
 	faAssign.ALUSlow, faAssign.ALULeak = energy.CMOSScale(), energy.CMOSScale()
 	out = append(out, CPUConfig{
 		Name: "BaseHet-FastALU", Notes: "BaseHet + all ALUs in CMOS",
-		Cores: 4, Core: fa, Hier: tfetCaches(baseHier(4, fa.FreqGHz)),
+		Cores: 4, Core: fa, Hier: tfetCaches(baseHier(4)),
 		Assign: faAssign,
 	})
 
@@ -246,7 +245,7 @@ func buildCPUConfigs() []CPUConfig {
 	he := enhance(het)
 	out = append(out, CPUConfig{
 		Name: "BaseHet-Enh", Notes: "BaseHet + larger ROB & FP-RF",
-		Cores: 4, Core: he, Hier: tfetCaches(baseHier(4, he.FreqGHz)),
+		Cores: 4, Core: he, Hier: tfetCaches(baseHier(4)),
 		Assign: assignBaseHet(),
 	})
 
@@ -257,7 +256,7 @@ func buildCPUConfigs() []CPUConfig {
 	hsAssign.ALULeak = energy.Scale{Dyn: 1, Leak: 0.25 + 0.75*energy.TFETScale().Leak}
 	out = append(out, CPUConfig{
 		Name: "BaseHet-Split", Notes: "BaseHet-Enh + dual-speed ALU",
-		Cores: 4, Core: hs, Hier: tfetCaches(baseHier(4, hs.FreqGHz)),
+		Cores: 4, Core: hs, Hier: tfetCaches(baseHier(4)),
 		Assign: hsAssign,
 	})
 
@@ -265,7 +264,7 @@ func buildCPUConfigs() []CPUConfig {
 	out = append(out, CPUConfig{
 		Name:  "AdvHet-2X",
 		Notes: "AdvHet with 2x cores under the BaseCMOS power budget",
-		Cores: 8, Core: adv, Hier: asymDL1(tfetCaches(baseHier(8, adv.FreqGHz)), 5),
+		Cores: 8, Core: adv, Hier: asymDL1(tfetCaches(baseHier(8)), 5),
 		Assign: assignAdvHet(),
 	})
 
@@ -278,7 +277,7 @@ func buildCPUConfigs() []CPUConfig {
 	out = append(out, CPUConfig{
 		Name:  "AdvHet-CMA",
 		Notes: "AdvHet with CMA-multiplier FPUs (-1 cycle FP add/mul, +20% FPU power)",
-		Cores: 4, Core: cma, Hier: asymDL1(tfetCaches(baseHier(4, cma.FreqGHz)), 5),
+		Cores: 4, Core: cma, Hier: asymDL1(tfetCaches(baseHier(4)), 5),
 		Assign: cmaAssign,
 	})
 

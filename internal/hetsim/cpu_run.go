@@ -17,19 +17,8 @@ type RunOpts struct {
 	// configuration with more cores shards the same work (the paper's
 	// fixed-power-budget comparison keeps the application constant).
 	TotalInstructions uint64
-	// WarmupInstructions run per core before measurement starts, to warm
-	// caches and predictors; their cycles, activity and energy are
-	// excluded. Defaults to TotalInstructions/8 (per core).
-	WarmupInstructions uint64
 	// Seed drives workload synthesis.
 	Seed uint64
-	// ChunkInstructions is the round-robin interleaving granularity for
-	// multicore runs (coherence interleaving fidelity vs speed).
-	ChunkInstructions uint64
-	// CMOSAdjust and TFETAdjust are voltage-derived energy adjustments
-	// (DVFS operating points, process-variation guardbands) applied on
-	// top of the technology scaling. Zero values mean identity.
-	CMOSAdjust, TFETAdjust energy.Scale
 	// Obs receives metrics, trace events, progress and the run record;
 	// nil disables all observability at the cost of one pointer check.
 	Obs *obs.Observer
@@ -39,26 +28,22 @@ type RunOpts struct {
 	Streams *trace.StreamStore
 }
 
+// chunkInstructions is the round-robin interleaving granularity of a
+// multicore run (coherence interleaving fidelity vs speed).
+const chunkInstructions = 4_000
+
 // withDefaults fills unset options.
 func (o RunOpts) withDefaults() RunOpts {
 	if o.TotalInstructions == 0 {
 		o.TotalInstructions = 400_000
 	}
-	if o.WarmupInstructions == 0 {
-		o.WarmupInstructions = o.TotalInstructions / 8
-	}
-	if o.ChunkInstructions == 0 {
-		o.ChunkInstructions = 4_000
-	}
-	id := energy.Scale{Dyn: 1, Leak: 1}
-	if o.CMOSAdjust == (energy.Scale{}) {
-		o.CMOSAdjust = id
-	}
-	if o.TFETAdjust == (energy.Scale{}) {
-		o.TFETAdjust = id
-	}
 	return o
 }
+
+// warmup is the instruction count each core runs before measurement
+// starts, to warm caches and predictors; its cycles, activity and energy
+// are excluded.
+func (o RunOpts) warmup() uint64 { return o.TotalInstructions / 8 }
 
 // CPUResult is one (configuration, workload) measurement.
 type CPUResult struct {
@@ -137,8 +122,7 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 			tr.ThreadName(pid, int64(i), fmt.Sprintf("core %d", i))
 		}
 	}
-	asn := adjustAssign(cfg.Assign, opts.CMOSAdjust, opts.TFETAdjust)
-	m, err := cpuCoreSet(cfg, prof, opts, asn).run(prof, opts, pid)
+	m, err := cpuCoreSet(cfg, prof, opts).run(prof, opts, pid)
 	if err != nil {
 		return CPUResult{}, fmt.Errorf("hetsim %s: %w", cfg.Name, err)
 	}
@@ -174,7 +158,7 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 	if act.BPredLookups > 0 {
 		res.MispredictRate = float64(mispred) / float64(act.BPredLookups)
 	}
-	res, err = price(res, cfg, asn)
+	res, err = price(res, cfg)
 	if err != nil {
 		return CPUResult{}, err
 	}
@@ -208,44 +192,21 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 				"l2_occupancy":    res.L2Occupancy,
 				"l3_occupancy":    res.L3Occupancy,
 			},
-		}, wallStart, m.insts+uint64(n)*opts.WarmupInstructions)
+		}, wallStart, m.insts+uint64(n)*opts.warmup())
 	}
 	return res, nil
 }
 
-// adjustAssign applies voltage-derived adjustments per domain. A unit is
-// classified as TFET-domain when its dynamic scale is below 1 (the
-// conservative 4x factor); CMOS and high-Vt units keep dynamic scale 1.
-func adjustAssign(a energy.CPUAssign, cmosAdj, tfetAdj energy.Scale) energy.CPUAssign {
-	adj := func(s energy.Scale) energy.Scale {
-		if s.Dyn < 1 {
-			return s.Mul(tfetAdj)
-		}
-		return s.Mul(cmosAdj)
-	}
-	a.Core = adj(a.Core)
-	a.ALUSlow = adj(a.ALUSlow)
-	a.ALUFast = adj(a.ALUFast)
-	a.ALULeak = adj(a.ALULeak)
-	a.Mul = adj(a.Mul)
-	a.FPU = adj(a.FPU)
-	a.DL1 = adj(a.DL1)
-	a.DL1Fast = adj(a.DL1Fast)
-	a.L2 = adj(a.L2)
-	a.L3 = adj(a.L3)
-	return a
-}
-
 // coreSet is one CPU run: a core per entry of cores over one shared
 // hierarchy, each running quota[i] measured instructions after
-// opts.WarmupInstructions of warmup. RunCPU and RunHeteroCMP both drive
+// opts.warmup() instructions of warmup. RunCPU and RunHeteroCMP both drive
 // their cores through it.
 type coreSet struct {
 	cores []cpu.Config
 	hier  cache.Config
 	quota []uint64
 	// warmChunk is the warmup's round-robin chunk; the measured region
-	// interleaves in opts.ChunkInstructions.
+	// interleaves in chunkInstructions.
 	warmChunk uint64
 	series    string  // live telemetry series prefix
 	price     pricing // the run's accounting, applied to each window
@@ -293,7 +254,7 @@ func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, err
 	prog := opts.Obs.Prog()
 	var budget uint64
 	for _, q := range s.quota {
-		budget += q + opts.WarmupInstructions
+		budget += q + opts.warmup()
 	}
 	prog.AddTarget(budget)
 	freq := s.cores[0].FreqGHz
@@ -335,7 +296,7 @@ func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, err
 	// cold-start effects.
 	warm := make([]uint64, n)
 	for i := range warm {
-		warm[i] = opts.WarmupInstructions
+		warm[i] = opts.warmup()
 	}
 	runInterleaved(warm, s.warmChunk)
 	snap := make([]cpu.Stats, n)
@@ -343,7 +304,7 @@ func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, err
 		snap[i] = c.Stats()
 	}
 	hierSnap := hier.Counts()
-	runInterleaved(append([]uint64(nil), s.quota...), opts.ChunkInstructions)
+	runInterleaved(append([]uint64(nil), s.quota...), chunkInstructions)
 
 	if reg := opts.Obs.Reg(); reg != nil {
 		var synth uint64
@@ -376,9 +337,9 @@ func (s coreSet) run(prof trace.Profile, opts RunOpts, pid int64) (measured, err
 }
 
 // cpuCoreSet is RunCPU's core set: cfg.Cores copies of cfg.Core sharing
-// the work evenly, warmed up in opts.ChunkInstructions chunks and priced
-// under asn.
-func cpuCoreSet(cfg CPUConfig, prof trace.Profile, opts RunOpts, asn energy.CPUAssign) coreSet {
+// the work evenly, warmed up in chunkInstructions chunks and priced
+// under cfg.Assign.
+func cpuCoreSet(cfg CPUConfig, prof trace.Profile, opts RunOpts) coreSet {
 	cores := make([]cpu.Config, cfg.Cores)
 	for i := range cores {
 		cores[i] = cfg.Core
@@ -386,9 +347,9 @@ func cpuCoreSet(cfg CPUConfig, prof trace.Profile, opts RunOpts, asn energy.CPUA
 	return coreSet{
 		cores: cores, hier: cfg.Hier,
 		quota:     shares(opts.TotalInstructions, prof.SerialFrac, cores, false),
-		warmChunk: opts.ChunkInstructions,
+		warmChunk: chunkInstructions,
 		series:    "cpu." + cfg.Name + "." + prof.Name + ".",
-		price:     uniformPricing(asn, cfg.Hier.AsymDL1),
+		price:     uniformPricing(cfg.Assign, cfg.Hier.AsymDL1),
 	}
 }
 

@@ -154,7 +154,7 @@ func RunHeteroCMP(hc HeteroCMPConfig, prof trace.Profile, opts RunOpts) (HeteroC
 		if m.coreCycles > 0 {
 			rec.IPC = float64(m.insts) / float64(m.coreCycles)
 		}
-		o.FinishRecord(rec, wallStart, m.insts+uint64(n)*opts.WarmupInstructions)
+		o.FinishRecord(rec, wallStart, m.insts+uint64(n)*opts.warmup())
 	}
 	return res, nil
 }
@@ -176,9 +176,9 @@ func (hc HeteroCMPConfig) coreSet(prof trace.Profile, opts RunOpts, series strin
 		}
 	}
 	return coreSet{
-		cores: cores, hier: baseHier(n, 2.0),
+		cores: cores, hier: baseHier(n),
 		quota:     shares(opts.TotalInstructions, prof.SerialFrac, cores, hc.Migrate),
-		warmChunk: opts.WarmupInstructions,
+		warmChunk: opts.warmup(),
 		series:    series,
 		price:     hc.price,
 	}

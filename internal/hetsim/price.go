@@ -11,13 +11,14 @@ import (
 // A CPU run splits into two steps: simulate, which measures cycles and
 // the activity vector, and price, which turns them into time at the
 // configuration's clock and energy under its technology assignment.
-// Memory latency is set in cycles (DRAMFixedCycles), so the simulated
-// step of two configurations that differ only in clock, assignment and
-// voltage adjustments is identical: one simulation prices them all.
+// Memory latency is set in cycles (cache.Config.DRAMCycles) and no
+// simulated component reads the clock, so the simulated step of two
+// configurations that differ only in clock and assignment is identical:
+// one simulation prices them all.
 
 // SameTiming reports whether a and b simulate cycle for cycle alike: they
-// are equal once the name, notes and technology assignment are cleared,
-// and, when DRAM latency is fixed in cycles, the clock too.
+// are equal once the name, notes, clock and technology assignment are
+// cleared.
 func SameTiming(a, b CPUConfig) bool {
 	return timingOf(a) == timingOf(b)
 }
@@ -25,21 +26,45 @@ func SameTiming(a, b CPUConfig) bool {
 // timingOf clears every field of cfg that only prices a run.
 func timingOf(cfg CPUConfig) CPUConfig {
 	cfg.Name, cfg.Notes, cfg.Assign = "", "", energy.CPUAssign{}
-	if cfg.Hier.DRAMFixedCycles > 0 {
-		cfg.Core.FreqGHz, cfg.Hier.FreqGHz = 0, 0
-	}
+	cfg.Core.FreqGHz = 0
 	return cfg
+}
+
+// Adjusted returns c with voltage-derived energy adjustments (DVFS
+// operating points, process-variation guardbands) applied per domain on
+// top of the technology scaling. A unit is classified as TFET-domain
+// when its dynamic scale is below 1 (the conservative 4x factor); CMOS
+// and high-Vt units take cmos. Identity scales return c unchanged.
+func (c CPUConfig) Adjusted(cmos, tfet energy.Scale) CPUConfig {
+	adj := func(s energy.Scale) energy.Scale {
+		if s.Dyn < 1 {
+			return s.Mul(tfet)
+		}
+		return s.Mul(cmos)
+	}
+	a := &c.Assign
+	a.Core = adj(a.Core)
+	a.ALUSlow = adj(a.ALUSlow)
+	a.ALUFast = adj(a.ALUFast)
+	a.ALULeak = adj(a.ALULeak)
+	a.Mul = adj(a.Mul)
+	a.FPU = adj(a.FPU)
+	a.DL1 = adj(a.DL1)
+	a.DL1Fast = adj(a.DL1Fast)
+	a.L2 = adj(a.L2)
+	a.L3 = adj(a.L3)
+	return c
 }
 
 // price fills in the fields of a simulated result that depend on the
 // configuration beyond its timing: the name, the execution time at its
-// clock and the energy of r.Activity under the (adjusted) assignment.
-func price(r CPUResult, cfg CPUConfig, asn energy.CPUAssign) (CPUResult, error) {
+// clock and the energy of r.Activity under its assignment.
+func price(r CPUResult, cfg CPUConfig) (CPUResult, error) {
 	r.Config = cfg.Name
 	r.TimeSec = float64(r.Cycles) / (cfg.FreqGHz() * 1e9)
 	act := r.Activity
 	act.TimeSec = r.TimeSec
-	bd, err := energy.ComputeCPU(energy.DefaultCPULibrary(), act, asn)
+	bd, err := energy.ComputeCPU(energy.DefaultCPULibrary(), act, cfg.Assign)
 	if err != nil {
 		return CPUResult{}, err
 	}
@@ -47,13 +72,12 @@ func price(r CPUResult, cfg CPUConfig, asn energy.CPUAssign) (CPUResult, error) 
 	return r, nil
 }
 
-// Reprice returns exactly what RunCPU(to, …) with the given voltage
-// adjustments would, from r = RunCPU(from, …) on the same workload,
-// seed and budget. Zero adjustments mean identity, as in RunOpts. It
-// fails when the two configurations differ in timing, when r was not
-// measured on from, or when r carries no activity (a result decoded
-// from before the field existed).
-func Reprice(r CPUResult, from, to CPUConfig, cmosAdj, tfetAdj energy.Scale) (CPUResult, error) {
+// Reprice returns exactly what RunCPU(to, …) would, from
+// r = RunCPU(from, …) on the same workload, seed and budget. It fails
+// when the two configurations differ in timing, when r was not measured
+// on from, or when r carries no activity (a result decoded from before
+// the field existed).
+func Reprice(r CPUResult, from, to CPUConfig) (CPUResult, error) {
 	if !SameTiming(from, to) {
 		return CPUResult{}, fmt.Errorf("hetsim: cannot reprice %s as %s: timing differs", from.Name, to.Name)
 	}
@@ -64,8 +88,7 @@ func Reprice(r CPUResult, from, to CPUConfig, cmosAdj, tfetAdj energy.Scale) (CP
 	if r.Activity == (energy.CPUActivity{}) {
 		return CPUResult{}, fmt.Errorf("hetsim: %s/%s carries no activity to reprice", r.Config, r.Workload)
 	}
-	o := RunOpts{CMOSAdjust: cmosAdj, TFETAdjust: tfetAdj}.withDefaults()
-	return price(r, to, adjustAssign(to.Assign, o.CMOSAdjust, o.TFETAdjust))
+	return price(r, to)
 }
 
 // TimingRep returns the configuration whose simulation stands for cfg's
@@ -85,16 +108,14 @@ func TimingRep(cfg CPUConfig) CPUConfig {
 	return cfg
 }
 
-// CPUView is one requested CPU result: a configuration on a workload,
-// priced with voltage adjustments (zero means identity).
+// CPUView is one requested CPU result: a configuration on a workload.
 type CPUView struct {
-	Config           CPUConfig
-	Profile          trace.Profile
-	CMOSAdj, TFETAdj energy.Scale
+	Config  CPUConfig
+	Profile trace.Profile
 }
 
-// Simulator runs a batch of timing representatives (views with no
-// adjustments) and returns one result per view, in order.
+// Simulator runs a batch of timing representatives and returns one
+// result per view, in order.
 type Simulator func(reps []CPUView) ([]CPUResult, error)
 
 // Simulate returns a Simulator that runs each representative in this
@@ -115,9 +136,9 @@ func Simulate(opts RunOpts) Simulator {
 // RunPriced returns the result of every view while simulating each
 // (timing class, workload) pair once: sim receives the distinct
 // representatives (TimingRep) in first-use order, and every view is
-// priced from its representative's run. Views that differ from their
-// representative in configuration or adjustments add to o's
-// cpu.priced_views counter; nil o counts nothing.
+// priced from its representative's run. Views whose configuration
+// differs from their representative's add to o's cpu.priced_views
+// counter; nil o counts nothing.
 func RunPriced(views []CPUView, o *obs.Observer, sim Simulator) ([]CPUResult, error) {
 	type repKey struct {
 		cfg      CPUConfig
@@ -150,11 +171,11 @@ func RunPriced(views []CPUView, o *obs.Observer, sim Simulator) ([]CPUResult, er
 	var priced uint64
 	for i, v := range views {
 		rep := reps[of[i]].Config
-		if v.Config == rep && v.CMOSAdj == (energy.Scale{}) && v.TFETAdj == (energy.Scale{}) {
+		if v.Config == rep {
 			out[i] = runs[of[i]]
 			continue
 		}
-		if out[i], err = Reprice(runs[of[i]], rep, v.Config, v.CMOSAdj, v.TFETAdj); err != nil {
+		if out[i], err = Reprice(runs[of[i]], rep, v.Config); err != nil {
 			return nil, err
 		}
 		priced++

@@ -5,6 +5,7 @@ import (
 
 	"hetcore/internal/device"
 	"hetcore/internal/energy"
+	"hetcore/internal/obs"
 	"hetcore/internal/trace"
 )
 
@@ -52,22 +53,20 @@ func fig14Points(t *testing.T) []fig14Point {
 	return append(pts, fig14Point{2.0, scale(cs), scale(ts)})
 }
 
-// checkReprice asserts that repricing a run of from as to (with the
-// adjustments) equals running to directly, over every workload.
-func checkReprice(t *testing.T, from, to CPUConfig, cmosAdj, tfetAdj energy.Scale) {
+// checkReprice asserts that repricing a run of from as to equals
+// running to directly, over every workload.
+func checkReprice(t *testing.T, from, to CPUConfig) {
 	t.Helper()
-	direct := priceOpts
-	direct.CMOSAdjust, direct.TFETAdjust = cmosAdj, tfetAdj
 	for _, prof := range trace.CPUWorkloads() {
 		r, err := RunCPU(from, prof, priceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Reprice(r, from, to, cmosAdj, tfetAdj)
+		got, err := Reprice(r, from, to)
 		if err != nil {
 			t.Fatalf("%s -> %s / %s: %v", from.Name, to.Name, prof.Name, err)
 		}
-		want, err := RunCPU(to, prof, direct)
+		want, err := RunCPU(to, prof, priceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,14 +87,14 @@ func TestRepriceMatchesRunCPU(t *testing.T) {
 		t.Fatal("no SameTiming pair in the registry (BaseCMOS/BaseTFET expected)")
 	}
 	for _, p := range stock {
-		checkReprice(t, p[0], p[1], energy.Scale{}, energy.Scale{})
+		checkReprice(t, p[0], p[1])
 	}
 	singles := make([]CPUConfig, len(cfgs))
 	for i, c := range cfgs {
 		singles[i] = SingleCore(c)
 	}
 	for _, p := range sameTimingPairs(singles) {
-		checkReprice(t, p[0], p[1], energy.Scale{}, energy.Scale{})
+		checkReprice(t, p[0], p[1])
 	}
 	for _, name := range []string{"BaseCMOS", "AdvHet"} {
 		cfg, err := CPUConfigByName(name)
@@ -104,8 +103,8 @@ func TestRepriceMatchesRunCPU(t *testing.T) {
 		}
 		for _, pt := range fig14Points(t) {
 			to := cfg
-			to.Core.FreqGHz, to.Hier.FreqGHz = pt.freq, pt.freq
-			checkReprice(t, cfg, to, pt.cmosAdj, pt.tfetAdj)
+			to.Core.FreqGHz = pt.freq
+			checkReprice(t, cfg, to.Adjusted(pt.cmosAdj, pt.tfetAdj))
 		}
 	}
 }
@@ -130,10 +129,6 @@ func TestRepriceRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nsDRAM := base
-	nsDRAM.Hier.DRAMFixedCycles = 0
-	nsSlow := nsDRAM
-	nsSlow.Core.FreqGHz, nsSlow.Hier.FreqGHz = 1.0, 1.0
 	rob := base
 	rob.Core.ROBSize++
 	l2 := base
@@ -142,28 +137,27 @@ func TestRepriceRejects(t *testing.T) {
 		name     string
 		from, to CPUConfig
 	}{
-		{"clock without fixed DRAM cycles", nsDRAM, nsSlow},
 		{"core field", base, rob},
 		{"hierarchy field", base, l2},
 	} {
 		if SameTiming(c.from, c.to) {
 			t.Errorf("%s: SameTiming = true", c.name)
 		}
-		if _, err := Reprice(r, c.from, c.to, energy.Scale{}, energy.Scale{}); err == nil {
+		if _, err := Reprice(r, c.from, c.to); err == nil {
 			t.Errorf("%s: Reprice succeeded", c.name)
 		}
 	}
 
 	noAct := r
 	noAct.Activity = energy.CPUActivity{}
-	if _, err := Reprice(noAct, base, tfet, energy.Scale{}, energy.Scale{}); err == nil {
+	if _, err := Reprice(noAct, base, tfet); err == nil {
 		t.Error("zero Activity: Reprice succeeded")
 	}
 
-	if _, err := Reprice(r, tfet, base, energy.Scale{}, energy.Scale{}); err == nil {
+	if _, err := Reprice(r, tfet, base); err == nil {
 		t.Error("result of BaseCMOS repriced as a run of BaseTFET")
 	}
-	if _, err := Reprice(r, SingleCore(base), SingleCore(tfet), energy.Scale{}, energy.Scale{}); err == nil {
+	if _, err := Reprice(r, SingleCore(base), SingleCore(tfet)); err == nil {
 		t.Error("4-core result repriced as a run of the one-core form")
 	}
 }
@@ -214,5 +208,46 @@ func TestRunPricedPicksRegistryRep(t *testing.T) {
 		if got[i] != direct {
 			t.Errorf("%s/%s: RunPriced %+v, direct %+v", v.Config.Name, v.Profile.Name, got[i], direct)
 		}
+	}
+}
+
+// TestRunPricedIdentityAdjustment: a view adjusted by identity scales is
+// its representative, so RunPriced serves it the run itself and counts
+// only the views it reprices in cpu.priced_views.
+func TestRunPricedIdentityAdjustment(t *testing.T) {
+	base, err := CPUConfigByName("BaseCMOS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfet, err := CPUConfigByName("BaseTFET")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := trace.CPUWorkload("barnes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := energy.Scale{Dyn: 1, Leak: 1}
+	if base.Adjusted(id, id) != base {
+		t.Fatal("identity adjustment changed the configuration")
+	}
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	views := []CPUView{
+		{Config: base.Adjusted(id, id), Profile: prof},
+		{Config: tfet, Profile: prof},
+	}
+	got, err := RunPriced(views, o, Simulate(priceOpts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := RunCPU(base, prof, priceOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != run {
+		t.Errorf("identity view %+v, run %+v", got[0], run)
+	}
+	if n := o.Reg().Snapshot().Counters["cpu.priced_views"]; n != 1 {
+		t.Errorf("cpu.priced_views = %d, want 1 (the BaseTFET view only)", n)
 	}
 }

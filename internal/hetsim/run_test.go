@@ -90,11 +90,11 @@ func TestRunCPURejectsBadProfile(t *testing.T) {
 }
 
 func TestAdjustAssignDomains(t *testing.T) {
-	asn := energy.AllCMOSAssign()
-	asn.FPU = energy.TFETScale()
+	cfg := CPUConfig{Assign: energy.AllCMOSAssign()}
+	cfg.Assign.FPU = energy.TFETScale()
 	cmosAdj := energy.Scale{Dyn: 2, Leak: 3}
 	tfetAdj := energy.Scale{Dyn: 5, Leak: 7}
-	out := adjustAssign(asn, cmosAdj, tfetAdj)
+	out := cfg.Adjusted(cmosAdj, tfetAdj).Assign
 	// CMOS-domain unit picks up the CMOS adjustment.
 	if out.Core.Dyn != 2 || out.Core.Leak != 3 {
 		t.Errorf("core adjust = %+v", out.Core)
@@ -157,10 +157,8 @@ func TestVoltageAdjustments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boosted := quickOpts
-	boosted.CMOSAdjust = energy.Scale{Dyn: 1.2, Leak: 1.3}
-	boosted.TFETAdjust = energy.Scale{Dyn: 1.5, Leak: 1.6}
-	rb, err := RunCPU(cfg, prof, boosted)
+	boosted := cfg.Adjusted(energy.Scale{Dyn: 1.2, Leak: 1.3}, energy.Scale{Dyn: 1.5, Leak: 1.6})
+	rb, err := RunCPU(boosted, prof, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,7 @@ func TestWindowPricingMatchesAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		asn := adjustAssign(cfg.Assign, opts.CMOSAdjust, opts.TFETAdjust)
-		check(name, cpuCoreSet(cfg, prof, opts, asn), r.Energy.Dynamic())
+		check(name, cpuCoreSet(cfg, prof, opts), r.Energy.Dynamic())
 	}
 	for _, migrate := range []bool{true, false} {
 		hc := DefaultHeteroCMP()
@@ -68,7 +67,7 @@ func TestWindowPricingAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, set := range map[string]coreSet{
-		"AdvHet":    cpuCoreSet(adv, prof, opts, adv.Assign),
+		"AdvHet":    cpuCoreSet(adv, prof, opts),
 		"HeteroCMP": DefaultHeteroCMP().coreSet(prof, opts, ""),
 	} {
 		m, err := set.run(prof, opts, 0)

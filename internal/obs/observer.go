@@ -24,10 +24,6 @@ type Observer struct {
 	Series   *SeriesSet
 	Events   *EventLog
 
-	// SampleInterval is the per-interval telemetry period in simulated
-	// cycles (DefaultSampleInterval when 0).
-	SampleInterval uint64
-
 	mu    sync.Mutex
 	phase string
 }
@@ -87,14 +83,11 @@ func (o *Observer) EventSink() *EventLog {
 }
 
 // SamplePeriod returns the telemetry sampling period in simulated
-// cycles, or 0 when no series set is attached (samplers then stay
-// disarmed and the hot path pays nothing).
+// cycles: DefaultSampleInterval, or 0 when no series set is attached
+// (samplers then stay disarmed and the hot path pays nothing).
 func (o *Observer) SamplePeriod() uint64 {
 	if o == nil || o.Series == nil {
 		return 0
-	}
-	if o.SampleInterval > 0 {
-		return o.SampleInterval
 	}
 	return DefaultSampleInterval
 }
@@ -144,8 +137,7 @@ func (o *Observer) WithPhase(name string) *Observer {
 		return nil
 	}
 	return &Observer{Metrics: o.Metrics, Trace: o.Trace, Records: o.Records,
-		Progress: o.Progress, Series: o.Series, Events: o.Events,
-		SampleInterval: o.SampleInterval, phase: name}
+		Progress: o.Progress, Series: o.Series, Events: o.Events, phase: name}
 }
 
 // Phase returns the current experiment label.

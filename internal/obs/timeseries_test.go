@@ -217,8 +217,4 @@ func TestObserverSamplePeriod(t *testing.T) {
 	if got := o.SamplePeriod(); got != DefaultSampleInterval {
 		t.Fatalf("default sample period = %d, want %d", got, DefaultSampleInterval)
 	}
-	o.SampleInterval = 1000
-	if got := o.SamplePeriod(); got != 1000 {
-		t.Fatalf("explicit sample period = %d, want 1000", got)
-	}
 }

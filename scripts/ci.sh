@@ -131,7 +131,8 @@ cmp results_full.txt "$tmp/all-cold.txt" || {
 }
 # The exact job count: a CPU pre-pass that added a key, dropped one or
 # simulated one twice would move it.
-if ! grep -q '"engine_jobs_run": 13087' "$tmp/all-cold.json"; then
+# The value must end its line, so a longer number does not match.
+if ! grep -qE '"engine_jobs_run": 13087,?$' "$tmp/all-cold.json"; then
     echo "cold hetcore all ran a different number of engine jobs than 13087:" >&2
     grep '"engine_' "$tmp/all-cold.json" >&2
     exit 1
@@ -178,7 +179,7 @@ if ! grep -q '"engine_jobs_run": 0' "$tmp/all-warm.json"; then
     grep '"engine_' "$tmp/all-warm.json" >&2
     exit 1
 fi
-if ! grep -q '"engine_disk_hits": 13087' "$tmp/all-warm.json"; then
+if ! grep -qE '"engine_disk_hits": 13087,?$' "$tmp/all-warm.json"; then
     echo "cached hetcore all read a different number of disk entries than 13087:" >&2
     grep '"engine_' "$tmp/all-warm.json" >&2
     exit 1
@@ -205,9 +206,31 @@ echo "== dist gate (persistent cache + hetserved) =="
 # (engine_jobs_run == 0) and print byte-identical tables — then a third
 # time through a live hetserved daemon, which must also match.
 go build -o "$tmp/hetserved" ./cmd/hetserved
-"$tmp/hetserved" -addr 127.0.0.1:0 -addr-file "$tmp/hetserved.addr" \
-    -cache-dir "$tmp/server-cache" 2>"$tmp/hetserved.log" &
-served_pid=$!
+
+start_served() {
+    # Start a hetserved daemon on an empty cache directory $1 in the
+    # background; wait_served then sets addr once it listens.
+    rm -f "$tmp/hetserved.addr"
+    "$tmp/hetserved" -addr 127.0.0.1:0 -addr-file "$tmp/hetserved.addr" \
+        -cache-dir "$1" 2>"$tmp/hetserved.log" &
+    served_pid=$!
+}
+
+wait_served() {
+    i=0
+    while [ ! -s "$tmp/hetserved.addr" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ] || ! kill -0 "$served_pid" 2>/dev/null; then
+            echo "hetserved did not start:" >&2
+            cat "$tmp/hetserved.log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    addr=$(cat "$tmp/hetserved.addr")
+}
+
+start_served "$tmp/server-cache"
 
 dist_run() {
     # $1: output file, extra args follow.
@@ -228,19 +251,9 @@ if ! grep -q '"engine_jobs_run": 0' "$tmp/dist-run2.json"; then
     exit 1
 fi
 
-# Wait for the daemon to publish its address (it builds in background
+# Wait for the daemon to publish its address (it starts in background
 # while the cache runs above execute).
-i=0
-while [ ! -s "$tmp/hetserved.addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ] || ! kill -0 "$served_pid" 2>/dev/null; then
-        echo "hetserved did not start:" >&2
-        cat "$tmp/hetserved.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-addr=$(cat "$tmp/hetserved.addr")
+wait_served
 
 dist_run "$tmp/dist-run3.txt" -remote "$addr"
 cmp "$tmp/dist-run1.txt" "$tmp/dist-run3.txt" || {
@@ -393,13 +406,18 @@ fi
 "$tmp/hetcore" diff -tol 0 -rate-tol 0 scripts/baseline/BENCH_traffic.json "$tmp/traffic-report1.json"
 
 echo "== load gate (hetcore load p99 vs baseline) =="
-# Drive a short closed-loop job stream at the live daemon and gate the
+# Drive a short closed-loop job stream at a fresh daemon and gate the
 # client-observed serving latency. The baseline is a measured run with
-# these flags against a fresh daemon. With -rate-tol 400 the gate trips
-# only when a latency quantile exceeds 5x the committed baseline (or
-# any request errors against the zero-error baseline) — catching
-# serialization bugs and accidental hot-path sleeps without flaking on
-# host speed.
+# these flags against a fresh daemon, so the one that served the gates
+# above, its caches and heap warm, is replaced first. With -rate-tol 400
+# the gate trips only when a latency quantile exceeds 5x the committed
+# baseline (or any request errors against the zero-error baseline) —
+# catching serialization bugs and accidental hot-path sleeps without
+# flaking on host speed.
+kill "$served_pid" 2>/dev/null
+wait "$served_pid" 2>/dev/null || true
+start_served "$tmp/load-cache"
+wait_served
 "$tmp/hetcore" load -addr "$addr" -duration 2s -concurrency 4 -cold 0.2 \
     -o "$tmp/BENCH_load.json" >/dev/null
 "$tmp/hetcore" diff -rate-tol 400 scripts/baseline/BENCH_load.json "$tmp/BENCH_load.json"
